@@ -113,6 +113,8 @@ STUDY_SPECS = (
 # grasp-to-release displacement of each source demo (the place segment is
 # re-anchored at the receptacle; this is where the carry ends before it)
 SOURCE_OFFSETS = ((0.0, 0.20, 0.0), (0.05, 0.15, 0.0), (-0.40, 0.0, 0.0))
+# steps of every source demo: the latest release (step 120) leaves a 30-step retreat
+SOURCE_STEPS = 150
 
 
 def lattice_points() -> list[tuple[float, float, float]]:
@@ -285,10 +287,12 @@ def spec_text(spec: dict) -> str:
 
 def source_demo(k: int, rng) -> dict:
     """A pick-and-place demo whose gripper closes at step `close` and opens at
-    step `release`: approach, carry by SOURCE_OFFSETS[k] with a lift, retreat."""
+    step `release`: approach, carry by SOURCE_OFFSETS[k] with a lift, retreat.
+    Every source has SOURCE_STEPS steps, so that the work of a round does not
+    depend on the seed; the seed moves the close and release steps."""
     close = int(rng.integers(35, 51))
     release = close + int(rng.integers(45, 71))
-    n = release + int(rng.integers(30, 61))
+    n = SOURCE_STEPS
     grasp = np.array([0.30, 0.0, OBJECT_Z])
     place = grasp + np.asarray(SOURCE_OFFSETS[k])
     start = np.array([0.10, -0.25, 0.35])

@@ -165,6 +165,13 @@ def median(values) -> float:
     return float(statistics.median(values))
 
 
+def mean(values) -> float:
+    """A shared vCPU can run ~1.8x slower for seconds at a time.  A median of
+    repeats then jumps between the fast and the slow state; a mean moves
+    smoothly with the share of the run spent in each."""
+    return float(statistics.fmean(values))
+
+
 # ---------------------------------------------------------------------------
 # the study loop
 
@@ -544,8 +551,8 @@ def end_to_end(study: Study, retr: Retrieval) -> dict:
         "draws_per_s": retr.draws / sum(retr.draw_times),
         "generate_demos_per_s": sum(study.work["generate"]) / sum(study.times["generate"]),
         "annotate_records_per_s": sum(study.work["annotate"]) / sum(study.times["annotate"]),
-        "profile_s": median(study.times["profile"]),
-        "classify_s": median(study.times["classify"]),
+        "profile_s": mean(study.times["profile"]),
+        "classify_s": mean(study.times["classify"]),
         "peak_rss_mb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0,
     }
     return {k: {"value": v, "unit": END_TO_END_UNITS[k]} for k, v in values.items()}
