@@ -158,12 +158,13 @@ def _cmd_profile(args) -> int:
         angular_cell=args.angular_cell,
         table_center=metadata.table_center_of(args.table_center),
     )
+    report = dvalgebra.profile_to_dict(profile)  # measures every support once
     if args.out:
-        dvalgebra.save_profile(args.out, profile)
+        dvalgebra.save_profile(args.out, report)
     if args.format == "json":
-        _print_json(dvalgebra.profile_to_dict(profile))
+        _print_json(report)
     else:
-        print(dvalgebra.profile_report(profile))
+        print(dvalgebra.profile_report(report))
     return 0
 
 
@@ -171,23 +172,21 @@ def _cmd_classify(args) -> int:
     center = metadata.table_center_of(args.table_center)
     target = dvalgebra.profile_dataset(metadata.iter_records(args.target), cell=args.cell, table_center=center)
     cotrain = dvalgebra.profile_dataset(metadata.iter_records(args.cotrain), cell=args.cell, table_center=center)
-    s_t = target.dvs[args.dv]
-    s_c = cotrain.dvs[args.dv]
-    label = dvalgebra.classify_case(s_t, s_c, rho=args.rho)
+    m = dvalgebra.measure_case(target.dvs[args.dv], cotrain.dvs[args.dv], rho=args.rho)
     if args.format == "json":
         _print_json(
             {
                 "dv": args.dv,
                 "rho": args.rho,
                 "cell": args.cell,
-                "target_size": dvalgebra.support_size(s_t),
-                "cotrain_size": dvalgebra.support_size(s_c),
-                "aligned": dvalgebra.is_aligned(s_t, s_c),
-                "case": label.value,
+                "target_size": m.target_size,
+                "cotrain_size": m.cotrain_size,
+                "aligned": m.aligned,
+                "case": m.case.value,
             }
         )
     else:
-        print(label.value)
+        print(m.case.value)
     return 0
 
 
@@ -239,6 +238,20 @@ def _cmd_sample_batches(args) -> int:
 
 # ---------------------------------------------------------------------------
 # parser wiring
+
+def _checked(convert, ok, what: str):
+    """An argparse type: `convert`, then a usage error unless `ok(value)`."""
+    def parse(text: str):
+        value = convert(text)
+        if not ok(value):
+            raise argparse.ArgumentTypeError(f"must be {what}, got {text}")
+        return value
+    parse.__name__ = convert.__name__  # argparse names it in "invalid float value"
+    return parse
+
+
+_POSITIVE_INT = _checked(int, lambda v: v >= 1, ">= 1")
+
 
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="dvcurate", description=__doc__)
@@ -311,7 +324,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_cls.add_argument("--target", required=True)
     p_cls.add_argument("--cotrain", required=True)
     p_cls.add_argument("--dv", required=True, choices=dvalgebra.DV_NAMES)
-    p_cls.add_argument("--rho", type=float, default=dvalgebra.RHO_DEFAULT)
+    p_cls.add_argument("--rho", type=_checked(float, lambda v: v > 1.0, "> 1"),
+                       default=dvalgebra.RHO_DEFAULT)
     p_cls.add_argument("--cell", type=float, default=dvalgebra.DILATION_CELL_DEFAULT)
     p_cls.add_argument("--table-center", default="0,0,0")
     p_cls.add_argument("--format", choices=("text", "json"), default="text")
@@ -329,9 +343,10 @@ def build_parser() -> argparse.ArgumentParser:
     p_bat = sub.add_parser("sample-batches", help="emit re-balanced sample batches")
     p_bat.add_argument("--target", required=True, help="newline-delimited target ids")
     p_bat.add_argument("--cotrain", required=True, help="newline-delimited cotrain ids")
-    p_bat.add_argument("--omega", type=float, default=sampler.OMEGA_DEFAULT)
-    p_bat.add_argument("--batch", type=int, default=32)
-    p_bat.add_argument("--n", type=int, default=1)
+    p_bat.add_argument("--omega", type=_checked(float, lambda v: 0.0 <= v <= 1.0, "in [0, 1]"),
+                       default=sampler.OMEGA_DEFAULT)
+    p_bat.add_argument("--batch", type=_POSITIVE_INT, default=32)
+    p_bat.add_argument("--n", type=_POSITIVE_INT, default=1)
     p_bat.add_argument("--seed", type=int, required=True)
     p_bat.add_argument("--stats", action="store_true")
     p_bat.add_argument("--no-counts", action="store_true", help="omit per-id counts from --stats")

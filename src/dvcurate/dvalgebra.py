@@ -14,6 +14,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from enum import Enum
+from typing import NamedTuple
 
 from . import lexicon as lexmod
 from . import metadata as metamod
@@ -240,8 +241,17 @@ def diversity_ratio(target: DVSupport, cotrain: DVSupport) -> float:
     return size_c / size_t
 
 
-def classify_case(target: DVSupport, cotrain: DVSupport, rho: float = RHO_DEFAULT) -> CaseLabel:
-    """Diversity/alignment case of a target/co-training support pair.
+class CaseMeasure(NamedTuple):
+    """Both support sizes, the alignment, and the case they give."""
+
+    target_size: float
+    cotrain_size: float
+    aligned: bool
+    case: CaseLabel
+
+
+def measure_case(target: DVSupport, cotrain: DVSupport, rho: float = RHO_DEFAULT) -> CaseMeasure:
+    """Measure a target/co-training support pair once and classify it.
 
     Diverse means the co-training measure is at least rho times the target
     measure; a zero-measure target with positive co-training measure counts as
@@ -256,8 +266,15 @@ def classify_case(target: DVSupport, cotrain: DVSupport, rho: float = RHO_DEFAUL
     diverse = size_c > 0.0 if size_t == 0.0 else size_c >= rho * size_t
     aligned = is_aligned(target, cotrain)
     if diverse:
-        return CaseLabel.DIVERSE_ALIGNED if aligned else CaseLabel.DIVERSE_MISALIGNED
-    return CaseLabel.NOT_DIVERSE_ALIGNED if aligned else CaseLabel.NOT_DIVERSE_MISALIGNED
+        case = CaseLabel.DIVERSE_ALIGNED if aligned else CaseLabel.DIVERSE_MISALIGNED
+    else:
+        case = CaseLabel.NOT_DIVERSE_ALIGNED if aligned else CaseLabel.NOT_DIVERSE_MISALIGNED
+    return CaseMeasure(size_t, size_c, aligned, case)
+
+
+def classify_case(target: DVSupport, cotrain: DVSupport, rho: float = RHO_DEFAULT) -> CaseLabel:
+    """Diversity/alignment case of a target/co-training support pair (see measure_case)."""
+    return measure_case(target, cotrain, rho).case
 
 
 # ---------------------------------------------------------------------------
@@ -387,26 +404,32 @@ def profile_from_dict(d: dict) -> DatasetProfile:
     )
 
 
-def profile_report(p: DatasetProfile) -> str:
-    lines = [f"demos: {p.demo_count}"]
+def _as_dict(p) -> dict:
+    return p if isinstance(p, dict) else profile_to_dict(p)
+
+
+def profile_report(p) -> str:
+    """Text summary of a DatasetProfile or of its profile_to_dict form."""
+    d = _as_dict(p)
+    lines = [f"demos: {d['demo_count']}"]
     for name in DV_NAMES:
-        s = p.dvs[name]
-        size = support_size(s)
-        shown = f"{int(size)}" if s.kind == "discrete" else f"{size:.6g}"
-        lines.append(f"{name:<10} kind={s.kind:<10} size={shown:<12} elements={len(s.elements)}")
-        if s.kind == "discrete" and s.elements:
-            lines.append(f"{'':<10} labels: {', '.join(sorted(s.elements))}")
-    w = p.campose_windows
+        s = d["dvs"][name]
+        shown = f"{int(s['size'])}" if s["kind"] == "discrete" else f"{s['size']:.6g}"
+        lines.append(f"{name:<10} kind={s['kind']:<10} size={shown:<12} elements={len(s['elements'])}")
+        if s["kind"] == "discrete" and s["elements"]:
+            lines.append(f"{'':<10} labels: {', '.join(s['elements'])}")
+    w = d["campose_windows"]
     lines.append(
-        f"{'campose*':<10} kind={w.kind:<10} size={support_size(w):.6g}  elements={len(w.elements)}"
+        f"{'campose*':<10} kind={w['kind']:<10} size={w['size']:.6g}  elements={len(w['elements'])}"
         " (continuous angular windows)"
     )
     return "\n".join(lines)
 
 
-def save_profile(path, p: DatasetProfile) -> None:
+def save_profile(path, p) -> None:
+    """Write a DatasetProfile, or its profile_to_dict form, as JSON."""
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(profile_to_dict(p), fh, indent=2, sort_keys=True)
+        json.dump(_as_dict(p), fh, indent=2, sort_keys=True)
         fh.write("\n")
 
 

@@ -87,11 +87,6 @@ class VerbLexicon:
             return self.verb_map[tokens[i]], i + 1
         return None
 
-    def is_verb_word(self, token: str) -> bool:
-        return token in self.verb_map or any(
-            surface.split()[0] == token for surface in self.verb_map if " " in surface
-        )
-
 
 _DEFAULT_LEXICON: VerbLexicon | None = None
 

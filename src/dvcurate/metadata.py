@@ -137,7 +137,7 @@ def parse_record(obj: dict, line: int = 0) -> DemoRecord:
         ee_pos = np.array([s["ee_pos"] for s in steps], dtype=float)
         ee_quat = np.array([s["ee_quat"] for s in steps], dtype=float)
         gripper = np.array([s["gripper"] for s in steps], dtype=float)
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise _schema(line, "steps", f"bad step fields: {exc}") from None
     n = len(steps)
     if ee_pos.shape != (n, 3) or not np.isfinite(ee_pos).all():
@@ -158,7 +158,10 @@ def parse_record(obj: dict, line: int = 0) -> DemoRecord:
     if ann is not None:
         if not isinstance(ann, dict):
             raise _schema(line, "annotations", "must be an object or null")
-        annotations = _annotations(ann)
+        try:
+            annotations = _annotations(ann)
+        except (TypeError, ValueError, OverflowError) as exc:
+            raise _schema(line, "annotations.object_position", f"expected 3 numbers: {exc}") from None
     return DemoRecord(
         id=rid,
         lab=lab,
@@ -172,9 +175,12 @@ def parse_record(obj: dict, line: int = 0) -> DemoRecord:
 
 def _annotations(ann: dict) -> Annotations:
     pos = ann.get("object_position")
+    if pos is not None:
+        x, y, z = map(float, pos)  # raises unless pos holds exactly three numbers
+        pos = (x, y, z)
     return Annotations(
         target_object=ann.get("target_object"),
-        object_position=tuple(map(float, pos)) if pos is not None else None,
+        object_position=pos,
         object_color=ann.get("object_color"),
         camera_bin=ann.get("camera_bin"),
     )

@@ -4,9 +4,10 @@ Queries are conjunctions of per-DV filters with closed (inclusive) boundary
 semantics: camera position within per-axis tolerances of a target (defaults
 0.20/0.20/0.10 m), object position within an axis-aligned cuboid (default
 extents 0.60/0.60/0.30 m), target-object include/exclude, canonical color,
-and motion-primitive labels.  A DemoIndex answers them via hash indexes and
-uniform 0.1 m spatial grids; results always equal a linear scan and come back
-in record insertion order.
+and motion-primitive labels.  A DemoIndex answers the label filters via hash
+indexes and the two position filters via one vectorized scan over per-axis
+position columns; results always equal a linear scan and come back in record
+insertion order.
 """
 
 from __future__ import annotations
@@ -21,7 +22,6 @@ from .errors import DuplicateId, SpecRangeError, SpecSyntaxError
 
 CAMPOSE_TOL_DEFAULT = (0.20, 0.20, 0.10)
 OBJSPAT_EXTENT_DEFAULT = (0.60, 0.60, 0.30)
-GRID_CELL = 0.1
 
 
 @dataclass(frozen=True)
@@ -75,10 +75,26 @@ def _parse_object(form) -> tuple[str | None, str | None]:
     return (name, None) if head.name == "include" else (None, name)
 
 
-def _keyword_form(args, kw) -> sexpr.SList:
+# sub-form keyword -> (required key, {key: RetrievalQuery field}); every key takes a triple
+_SUBFORMS = {
+    "campose": ("pos", {"pos": "campose_target", "tol": "campose_tol"}),
+    "objspat": ("center", {"center": "objspat_center", "extent": "objspat_extent"}),
+}
+
+
+def _parse_subform(kw, args) -> dict:
+    """RetrievalQuery fields of one `:campose (...)` or `:objspat (...)` sub-form."""
     if len(args) != 1 or not isinstance(args[0], sexpr.SList):
         raise SpecSyntaxError(f":{kw.name} takes exactly one (...) form", kw.line, kw.col)
-    return args[0]
+    required, fields = _SUBFORMS[kw.name]
+    values = {}
+    for skw, sargs in sexpr.keyword_fields(args[0].items, f"(:{required} ...)"):
+        if skw.name not in fields:
+            raise SpecSyntaxError(f"unknown {kw.name} field :{skw.name}", skw.line, skw.col)
+        values[fields[skw.name]] = _triple(sargs, skw)
+    if fields[required] not in values:
+        raise SpecSyntaxError(f":{kw.name} requires :{required}", kw.line, kw.col)
+    return values
 
 
 def parse_query(source: str) -> RetrievalQuery:
@@ -104,36 +120,8 @@ def query_from_form(form: sexpr.Form) -> RetrievalQuery:
             if len(args) != 1:
                 raise SpecSyntaxError(":object takes exactly one form", kw.line, kw.col)
             values["object_include"], values["object_exclude"] = _parse_object(args[0])
-        elif kw.name == "campose":
-            sub = _keyword_form(args, kw)
-            pos = tol = None
-            for skw, sargs in sexpr.keyword_fields(sub.items, "(:pos ...)"):
-                if skw.name == "pos":
-                    pos = _triple(sargs, skw)
-                elif skw.name == "tol":
-                    tol = _triple(sargs, skw)
-                else:
-                    raise SpecSyntaxError(f"unknown campose field :{skw.name}", skw.line, skw.col)
-            if pos is None:
-                raise SpecSyntaxError(":campose requires :pos", kw.line, kw.col)
-            values["campose_target"] = pos
-            if tol is not None:
-                values["campose_tol"] = tol
-        elif kw.name == "objspat":
-            sub = _keyword_form(args, kw)
-            center = extent = None
-            for skw, sargs in sexpr.keyword_fields(sub.items, "(:center ...)"):
-                if skw.name == "center":
-                    center = _triple(sargs, skw)
-                elif skw.name == "extent":
-                    extent = _triple(sargs, skw)
-                else:
-                    raise SpecSyntaxError(f"unknown objspat field :{skw.name}", skw.line, skw.col)
-            if center is None:
-                raise SpecSyntaxError(":objspat requires :center", kw.line, kw.col)
-            values["objspat_center"] = center
-            if extent is not None:
-                values["objspat_extent"] = extent
+        elif kw.name in _SUBFORMS:
+            values.update(_parse_subform(kw, args))
         elif kw.name == "color":
             if len(args) != 1:
                 raise SpecSyntaxError(":color takes exactly one string", kw.line, kw.col)
@@ -155,45 +143,36 @@ def parse_query_file(path) -> list[RetrievalQuery]:
 # ---------------------------------------------------------------------------
 # index
 
+@dataclass(frozen=True)
 class DemoIndex:
-    """Immutable retrieval index over annotated records."""
+    """Immutable retrieval index over annotated records.
 
-    def __init__(self, ids, camera_pos, object_pos, has_object_pos,
-                 by_object, by_color, by_motion, camera_grid, object_grid,
-                 missing, cell: float = GRID_CELL):
-        self.ids = ids
-        self.camera_pos = camera_pos
-        self.object_pos = object_pos
-        self.has_object_pos = has_object_pos
-        self.by_object = by_object
-        self.by_color = by_color
-        self.by_motion = by_motion
-        self.camera_grid = camera_grid
-        self.object_grid = object_grid
-        self.missing = missing
-        self.cell = cell
+    `camera_pos` and `object_pos` are (3, n) per-axis position columns;
+    `object_pos` is NaN where a record has no object position, so no box
+    contains it.
+    """
+
+    ids: list
+    camera_pos: np.ndarray
+    object_pos: np.ndarray
+    by_object: dict
+    by_color: dict
+    by_motion: dict
+    missing: dict
 
     def __len__(self) -> int:
         return len(self.ids)
 
 
-def _grid_group(points: np.ndarray, ordinals: np.ndarray, cell: float) -> dict:
-    """Map grid-cell coordinates to the ordinals whose points fall inside."""
-    if len(points) == 0:
-        return {}
-    cells = np.floor(points / cell).astype(np.int64)
-    order = np.lexsort((cells[:, 2], cells[:, 1], cells[:, 0]))
-    cells = cells[order]
-    ords = ordinals[order]
-    change = np.flatnonzero(np.any(cells[1:] != cells[:-1], axis=1)) + 1
-    bounds = np.concatenate(([0], change, [len(cells)]))
-    grid = {}
-    for a, b in zip(bounds[:-1], bounds[1:]):
-        grid[tuple(int(v) for v in cells[a])] = np.sort(ords[a:b])
-    return grid
+_NO_POSITION = (np.nan, np.nan, np.nan)  # fails every box test
 
 
-def build_index(records, cell: float = GRID_CELL, lexicon=None) -> DemoIndex:
+def _columns(rows: list) -> np.ndarray:
+    """(3, n) contiguous per-axis columns of n xyz rows."""
+    return np.ascontiguousarray(np.asarray(rows, dtype=np.float64).reshape(len(rows), 3).T)
+
+
+def build_index(records, lexicon=None) -> DemoIndex:
     """Build a DemoIndex from an iterable of annotated DemoRecords.
 
     Records lacking an annotation are indexed as non-matching for the filters
@@ -203,7 +182,6 @@ def build_index(records, cell: float = GRID_CELL, lexicon=None) -> DemoIndex:
     seen: dict[str, int] = {}
     cam_rows: list = []
     obj_rows: list = []
-    obj_ordinals: list = []
     by_object: dict[str, list] = {}
     by_color: dict[str, list] = {}
     by_motion: dict[str, list] = {}
@@ -223,8 +201,8 @@ def build_index(records, cell: float = GRID_CELL, lexicon=None) -> DemoIndex:
             missing["target_object"].append(rec.id)
         if ann and ann.object_position is not None:
             obj_rows.append(ann.object_position)
-            obj_ordinals.append(ordinal)
         else:
+            obj_rows.append(_NO_POSITION)
             missing["object_position"].append(rec.id)
         if ann and ann.object_color:
             by_color.setdefault(ann.object_color, []).append(ordinal)
@@ -240,57 +218,28 @@ def build_index(records, cell: float = GRID_CELL, lexicon=None) -> DemoIndex:
         else:
             missing["motion"].append(rec.id)
 
-    n = len(ids)
-    camera_pos = np.asarray(cam_rows, dtype=np.float64).reshape(n, 3)
-    object_pos = np.full((n, 3), np.nan)
-    has_object_pos = np.zeros(n, dtype=bool)
-    if obj_ordinals:
-        obj_ordinals = np.asarray(obj_ordinals, dtype=np.int64)
-        obj_points = np.asarray(obj_rows, dtype=np.float64)
-        object_pos[obj_ordinals] = obj_points
-        has_object_pos[obj_ordinals] = True
-        object_grid = _grid_group(obj_points, obj_ordinals, cell)
-    else:
-        object_grid = {}
-    camera_grid = _grid_group(camera_pos, np.arange(n, dtype=np.int64), cell)
     return DemoIndex(
         ids=ids,
-        camera_pos=camera_pos,
-        object_pos=object_pos,
-        has_object_pos=has_object_pos,
+        camera_pos=_columns(cam_rows),
+        object_pos=_columns(obj_rows),
         by_object={k: np.asarray(v, dtype=np.int64) for k, v in by_object.items()},
         by_color={k: np.asarray(v, dtype=np.int64) for k, v in by_color.items()},
         by_motion={k: np.asarray(v, dtype=np.int64) for k, v in by_motion.items()},
-        camera_grid=camera_grid,
-        object_grid=object_grid,
         missing=missing,
-        cell=cell,
     )
 
 
-def _grid_candidates(grid: dict, cell: float, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
-    """Ordinals from every grid cell overlapping the closed box [lo, hi]."""
-    lo_cell = np.floor(lo / cell).astype(np.int64)
-    hi_cell = np.floor(hi / cell).astype(np.int64)
-    chunks = []
-    for cx in range(int(lo_cell[0]), int(hi_cell[0]) + 1):
-        for cy in range(int(lo_cell[1]), int(hi_cell[1]) + 1):
-            for cz in range(int(lo_cell[2]), int(hi_cell[2]) + 1):
-                hit = grid.get((cx, cy, cz))
-                if hit is not None:
-                    chunks.append(hit)
-    if not chunks:
-        return np.empty(0, dtype=np.int64)
-    return np.concatenate(chunks)
+def _box_mask(columns: np.ndarray, center, half) -> np.ndarray:
+    """Closed box [center - half, center + half] over (3, n) position columns.
 
-
-def _box_mask(index: DemoIndex, grid: dict, points: np.ndarray,
-              center: np.ndarray, half: np.ndarray) -> np.ndarray:
-    mask = np.zeros(len(index), dtype=bool)
-    cand = _grid_candidates(grid, index.cell, center - half, center + half)
-    if cand.size:
-        inside = np.all(np.abs(points[cand] - center) <= half, axis=1)
-        mask[cand[inside]] = True
+    Written as |x - c| <= h, the same rounding as the definitional scan;
+    `lo <= x <= hi` would differ on the faces.
+    """
+    center = np.asarray(center, dtype=float)
+    half = np.asarray(half, dtype=float)
+    mask = np.abs(columns[0] - center[0]) <= half[0]
+    for k in (1, 2):
+        mask &= np.abs(columns[k] - center[k]) <= half[k]
     return mask
 
 
@@ -310,31 +259,10 @@ def _filter_masks(index: DemoIndex, query: RetrievalQuery) -> list[tuple[str, np
                     mask[ordinals] = True
         out.append(("object", mask))
     if query.campose_target is not None:
-        out.append(
-            (
-                "camPose",
-                _box_mask(
-                    index,
-                    index.camera_grid,
-                    index.camera_pos,
-                    np.asarray(query.campose_target, dtype=float),
-                    np.asarray(query.campose_tol, dtype=float),
-                ),
-            )
-        )
+        out.append(("camPose", _box_mask(index.camera_pos, query.campose_target, query.campose_tol)))
     if query.objspat_center is not None:
-        out.append(
-            (
-                "objSpat",
-                _box_mask(
-                    index,
-                    index.object_grid,
-                    index.object_pos,
-                    np.asarray(query.objspat_center, dtype=float),
-                    np.asarray(query.objspat_extent, dtype=float) / 2.0,
-                ),
-            )
-        )
+        half = np.asarray(query.objspat_extent, dtype=float) / 2.0
+        out.append(("objSpat", _box_mask(index.object_pos, query.objspat_center, half)))
     if query.color is not None:
         mask = np.zeros(n, dtype=bool)
         hit = index.by_color.get(query.color)

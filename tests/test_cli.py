@@ -206,6 +206,30 @@ def test_ingest_rejects_non_utf8_line(capsys, tmp_path):
     assert (report["error"], report["line"], report["field"]) == ("SchemaError", 2, "json")
 
 
+def _big_t(row):
+    row["steps"][-1]["t"] = 2**63
+
+
+@pytest.mark.parametrize(
+    "fault, field",
+    [
+        (_big_t, "steps"),
+        (lambda row: row.update(annotations={"object_position": 5}), "annotations.object_position"),
+        (lambda row: row.update(annotations={"object_position": [0.2, 0.0]}),
+         "annotations.object_position"),
+    ],
+    ids=["t past int64", "non-iterable object_position", "two-number object_position"],
+)
+def test_ingest_reports_bad_field_values(capsys, tmp_path, fault, field):
+    bad = demo_row(rid="bad")
+    fault(bad)
+    path = write_jsonl(tmp_path / "bad.jsonl", [demo_row(rid="ok"), bad])
+    code, _, err = run_cli(capsys, "ingest", path)
+    assert code == 1
+    report = json.loads(err)
+    assert (report["error"], report["line"], report["field"]) == ("SchemaError", 2, field)
+
+
 def test_annotate_pipeline(capsys, tmp_path, corpus):
     colors = tmp_path / "colors.json"
     colors.write_text(json.dumps({"d0": "scarlet", "d1": "navy", "d2": "olive"}))
@@ -331,6 +355,58 @@ def test_sample_batches_lines_and_stats(capsys, tmp_path):
     assert stats["total_draws"] == 10_000
     assert "draw_counts" not in stats
     assert abs(stats["target_fraction"] - 0.5) <= 3 * (0.25 / 10_000) ** 0.5
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("sample-batches", "--omega", "1.5"),
+        ("sample-batches", "--batch", "0"),
+        ("sample-batches", "--stats", "--n", "0"),
+        ("classify", "--dv", "objSpat", "--rho", "1"),
+    ],
+    ids=" ".join,
+)
+def test_out_of_range_options_are_usage_errors(capsys, tmp_path, argv):
+    ids = tmp_path / "ids.txt"
+    ids.write_text("a0\na1\n")
+    corpus = write_jsonl(tmp_path / "corpus.jsonl", [demo_row(rid="d0")])
+    files = {"sample-batches": ("--target", str(ids), "--cotrain", str(ids), "--seed", "1"),
+             "classify": ("--target", corpus, "--cotrain", corpus)}[argv[0]]
+    code, out, err = run_cli(capsys, argv[0], *files, *argv[1:])
+    assert code == 2 and out == ""
+    assert "usage:" in err and f"argument {argv[-2]}" in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("classify", "--dv", "objSpat", "--format", "json"),
+        ("profile", "--format", "json"),
+        ("profile", "--format", "text"),
+    ],
+    ids=" ".join,
+)
+def test_each_support_is_measured_once(capsys, tmp_path, monkeypatch, corpus, argv):
+    files = ("--target", corpus, "--cotrain", corpus) if argv[0] == "classify" else (corpus,)
+    code, plain, _ = run_cli(capsys, argv[0], *files, *argv[1:])
+    assert code == 0
+    calls = []
+    measure = dvalgebra.union_measure_3d
+
+    def counted(boxes):
+        calls.append(len(boxes))
+        return measure(boxes)
+
+    monkeypatch.setattr(dvalgebra, "union_measure_3d", counted)
+    saved = tmp_path / "profile.json"
+    out_file = ("--out", str(saved)) if argv[0] == "profile" else ()
+    code, out, _ = run_cli(capsys, argv[0], *files, *argv[1:], *out_file)
+    assert code == 0 and out == plain
+    assert len(calls) == 2  # objSpat on each side, or objSpat and recepSpat
+    if out_file:
+        assert json.loads(saved.read_text()) == json.loads(run_cli(
+            capsys, "profile", corpus, "--format", "json")[1])
 
 
 def test_sample_batches_empty_pool_error(capsys, tmp_path):

@@ -246,6 +246,9 @@ _FAULTS = {
     "float t truncating to repeat": lambda row: _last_step(row, t=row["steps"][-1]["t"] - 0.5),
     "bool t": lambda row: row["steps"][1].update(t=True),
     "non-dict annotations": lambda row: row.update(annotations=[1, 2]),
+    "t past int64": lambda row: _last_step(row, t=2**63),
+    "non-iterable object_position": lambda row: row.update(annotations={"object_position": 5}),
+    "two-number object_position": lambda row: row.update(annotations={"object_position": [0.2, 0.0]}),
 }
 
 

@@ -73,7 +73,6 @@ def test_query_defaults_pinned():
     assert q.objspat_extent == (0.60, 0.60, 0.30)
     assert retrieval.CAMPOSE_TOL_DEFAULT == (0.20, 0.20, 0.10)
     assert retrieval.OBJSPAT_EXTENT_DEFAULT == (0.60, 0.60, 0.30)
-    assert retrieval.GRID_CELL == 0.1
 
 
 def test_query_validation():
@@ -295,14 +294,56 @@ def test_retrieve_matches_linear_scan_on_random_queries():
         assert retrieval.retrieve(index, q) == linear_scan(records, q)
 
 
-def test_grid_cell_size_does_not_change_results():
-    rng = np.random.default_rng(11)
-    records = _random_corpus(rng, n=200)
-    coarse = retrieval.build_index(records, cell=0.35)
-    fine = retrieval.build_index(records, cell=0.05)
-    for _ in range(40):
-        q = _random_query(rng, records)
-        assert retrieval.retrieve(coarse, q) == retrieval.retrieve(fine, q)
+# per-axis half-widths are (h, h / 2, 2 h): tolerances from 0.001 m to 10 m
+_HALF_WIDTHS = (0.002, 0.0137, 0.1, 0.35, 1.0, 2.5, 5.0)
+
+
+def _face_points(center, half):
+    """Points on, just inside and just outside each face of the box, per axis."""
+    points = []
+    for k in range(3):
+        for sign in (-1.0, 1.0):
+            face = center[k] + sign * half[k]
+            for x in (face, np.nextafter(face, -sign * np.inf), np.nextafter(face, sign * np.inf)):
+                p = list(center)
+                p[k] = float(x)
+                points.append(tuple(p))
+    return points
+
+
+def test_position_scan_matches_linear_scan_on_wide_boxes_and_faces():
+    rng = np.random.default_rng(19)
+    boxes = []
+    for half in _HALF_WIDTHS:
+        for center in (tuple(np.round(rng.uniform(-0.5, 0.5, 3), 3)), (0.25, -0.5, 0.125)):
+            boxes.append((center, (half, half * 0.5, half * 2.0)))
+    records = _random_corpus(rng, n=300)
+    for center, half in boxes:
+        for p in _face_points(center, half):
+            i = len(records)
+            obj = p if i % 3 else None
+            records.append(mini_record(f"f{i:05d}", camera_pos=p, obj_pos=obj, target="mug",
+                                       color="red", instructions=("pick up the mug",)))
+    index = retrieval.build_index(records)
+    assert len(index.missing["object_position"]) > 0
+
+    on_face = 0
+    for center, half in boxes:
+        extent = tuple(2.0 * h for h in half)
+        for q in (RetrievalQuery(campose_target=center, campose_tol=half),
+                  RetrievalQuery(objspat_center=center, objspat_extent=extent),
+                  RetrievalQuery(campose_target=center, campose_tol=half,
+                                 objspat_center=center, objspat_extent=extent, color="red")):
+            got = retrieval.retrieve(index, q)
+            assert got == linear_scan(records, q)
+            on_face += sum(rid.startswith("f") for rid in got)
+    # boxes around every face point return every record that carries the position
+    whole = RetrievalQuery(campose_target=(0.0, 0.0, 0.0), campose_tol=(20.0, 20.0, 20.0))
+    assert retrieval.retrieve(index, whole) == [r.id for r in records]
+    whole = RetrievalQuery(objspat_center=(0.0, 0.0, 0.0), objspat_extent=(40.0, 40.0, 40.0))
+    assert retrieval.retrieve(index, whole) == [
+        r.id for r in records if r.annotations.object_position is not None]
+    assert on_face > 0
 
 
 # ---------------------------------------------------------------------------
