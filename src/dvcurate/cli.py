@@ -172,7 +172,8 @@ def _cmd_classify(args) -> int:
     center = metadata.table_center_of(args.table_center)
     target = dvalgebra.profile_dataset(metadata.iter_records(args.target), cell=args.cell, table_center=center)
     cotrain = dvalgebra.profile_dataset(metadata.iter_records(args.cotrain), cell=args.cell, table_center=center)
-    m = dvalgebra.measure_case(target.dvs[args.dv], cotrain.dvs[args.dv], rho=args.rho)
+    m = dvalgebra.measure_case(dvalgebra.measured_support(target, args.dv),
+                               dvalgebra.measured_support(cotrain, args.dv), rho=args.rho)
     if args.format == "json":
         _print_json(
             {

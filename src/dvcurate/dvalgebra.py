@@ -4,21 +4,28 @@ A DVSupport is a set-valued measurement of one dimension of variation:
 planar boxes (m²), volumetric boxes (m³), angular windows (deg², a solid-angle
 proxy), or a discrete label set.  Diversity compares union measures through a
 ratio threshold rho; alignment asks whether the target support is contained in
-the co-training support.  Both are exact: union measure via a slab sweep,
-containment via per-box coordinate compression with representative points
-(closed-set semantics throughout).
+the co-training support.  Both are exact, with closed-set semantics, and both
+run as one numpy sweep over compressed coordinates (2D boxes are lifted to
+3D): union measure over the open cells between distinct bounds, containment
+over closed cells that also give each bound a point cell of its own.  A large
+box set is cut into pieces whose count grids stay small.
 """
 
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from enum import Enum
+from itertools import chain, groupby
+from operator import itemgetter
 from typing import NamedTuple
+
+import numpy as np
 
 from . import lexicon as lexmod
 from . import metadata as metamod
-from .errors import EmptyDataset, KindMismatch, ZeroTargetSupport
+from .errors import DVNotMeasured, EmptyDataset, KindMismatch, ZeroTargetSupport
 from .geometry import spherical_about
 
 RHO_DEFAULT = 5.0
@@ -58,6 +65,8 @@ class DVSupport:
         for box in self.elements:
             if len(box) != arity:
                 raise ValueError(f"{self.kind} element needs {arity} numbers, got {box!r}")
+            if not all(map(math.isfinite, box)):
+                raise ValueError(f"non-finite bound in {self.kind} element {box!r}")
             for d in range(dims):
                 if box[d] > box[d + dims]:
                     raise ValueError(f"inverted bounds in {self.kind} element {box!r}")
@@ -83,125 +92,188 @@ def angular_support(windows) -> DVSupport:
 
 
 # ---------------------------------------------------------------------------
-# exact rectangle-union algebra
+# exact box-union algebra: one sweep over compressed coordinates
 
-def _merged_length(intervals) -> float:
-    """Total length of a union of 1D closed intervals."""
-    total = 0.0
-    cur0 = cur1 = None
-    for a, b in sorted(intervals):
-        if cur1 is None or a > cur1:
-            if cur1 is not None:
-                total += cur1 - cur0
-            cur0, cur1 = a, b
-        elif b > cur1:
-            cur1 = b
-    if cur1 is not None:
-        total += cur1 - cur0
+# A sweep keeps int32 counts over the cells of its two grid axes.  A box set
+# whose grid would exceed this many cells is cut in two at the median bound of
+# its longer grid axis, and each half is swept on its own, so memory follows
+# the local density of the boxes rather than the square of their number.  The
+# cuts end for any cap of at least 9, the closed grid of two bounds per axis.
+_GRID_CELLS = 1 << 16
+
+
+def _bounds(boxes, dims: int) -> tuple[np.ndarray, np.ndarray]:
+    """(lo, hi) corner arrays of shape (n, 3).
+
+    A 2D box is lifted to a 3D one with z extent [0, 1], which keeps its area
+    as a volume and its closed cells as cells.
+    """
+    b = np.fromiter(chain.from_iterable(boxes), dtype=float).reshape(-1, 2 * dims)
+    lo, hi = b[:, :dims], b[:, dims:]
+    if dims == 2:
+        lo = np.column_stack((lo, np.zeros(len(b))))
+        hi = np.column_stack((hi, np.ones(len(b))))
+    return lo, hi
+
+
+def _axes(lo, hi, closed: bool):
+    """The distinct bounds of each axis, as (axis, bounds) in sweep order.
+
+    The axes are renamed x, y, z by their number of distinct bounds: fewest
+    first over open cells (the measure), so that many events share an x
+    cell, and most first over closed cells (containment), so that a bare
+    cell is met early.  y and z are the grid axes.
+    """
+    axes = [(a, np.unique(np.concatenate((lo[:, a], hi[:, a])))) for a in range(3)]
+    axes.sort(key=lambda axis: len(axis[1]), reverse=closed)
+    return axes
+
+
+def _cut_plane(axes, closed: bool):
+    """None if the sweep's grid fits in _GRID_CELLS, else (axis, coordinate)
+    of the plane at the median bound of the longer grid axis."""
+    (_, ys), (_, zs) = axes[1:]
+    ny, nz = (2 * len(ys) - 1, 2 * len(zs) - 1) if closed else (len(ys) - 1, len(zs) - 1)
+    if ny * nz <= _GRID_CELLS:
+        return None
+    a, c = max(axes[1:], key=lambda axis: len(axis[1]))
+    return a, c[len(c) // 2]
+
+
+def _halves(lo, hi, a: int, s: float, closed: bool):
+    """The boxes on each side of the plane x_a = s, clipped to that side.
+
+    Over closed cells a box that touches the plane goes to both sides; over
+    open cells a box goes to a side only if it has volume there.
+    """
+    below = lo[:, a] <= s if closed else lo[:, a] < s
+    above = hi[:, a] >= s if closed else hi[:, a] > s
+    lo_below, hi_below = lo[below], hi[below]
+    lo_above, hi_above = lo[above], hi[above]
+    hi_below[:, a] = np.minimum(hi_below[:, a], s)
+    lo_above[:, a] = np.maximum(lo_above[:, a], s)
+    return (lo_below, hi_below), (lo_above, hi_above)
+
+
+def _sweep(lo, hi, axes, closed: bool):
+    """Compressed coordinates of n boxes, for a sweep along axes[0].
+
+    Open cells are the gaps between neighbouring bounds.  Closed cells add a
+    point cell at every bound: cell 2i is bound i and cell 2i + 1 the gap
+    after it, so the closed box [c_a, c_b] holds cells 2a .. 2b, and a box of
+    zero extent still holds one.  Every box holds all or none of a cell.
+    Returns the events in x-cell order as (cell, j) pairs, where box j enters
+    at j < n and box j - n leaves, and each box's (y start, y stop, z start,
+    z stop) block.
+    """
+    cells = []
+    for a, c in axes:
+        start, stop = np.searchsorted(c, lo[:, a]), np.searchsorted(c, hi[:, a])
+        if closed:
+            start, stop = 2 * start, 2 * stop + 1
+        cells.append((start, stop))
+    (x0, x1), (y0, y1), (z0, z1) = cells
+    at = np.concatenate((x0, x1))
+    order = np.argsort(at)
+    events = zip(at[order].tolist(), order.tolist())
+    return events, np.column_stack((y0, y1, z0, z1)).tolist()
+
+
+def _union_volume(lo, hi) -> float:
+    """Volume of a union of boxes, by a sweep along x.
+
+    A count per (y, z) cell holds how many boxes of the current x slab cover
+    it, and `length` the covered z length of each y row.  The events of an x
+    cell change only their own blocks of counts, and the lengths of the rows
+    those blocks span are recomputed.  Each slab adds its width times
+    dy @ length.  Every sum runs in coordinate order, so the volume depends
+    on the set of boxes alone, not on the order they come in.
+    """
+    keep = (hi > lo).all(axis=1)
+    lo, hi = lo[keep], hi[keep]
+    n = len(lo)
+    if not n:
+        return 0.0
+    axes = _axes(lo, hi, closed=False)
+    plane = _cut_plane(axes, closed=False)
+    if plane:
+        return sum(_union_volume(*half) for half in _halves(lo, hi, *plane, closed=False))
+    events, blocks = _sweep(lo, hi, axes, closed=False)
+    (_, xs), (_, ys), (_, zs) = axes
+    dy, dz = np.diff(ys), np.diff(zs)
+    count = np.zeros((len(dy), len(dz)), dtype=np.int32)
+    length = np.zeros(len(dy))
+    xs = xs.tolist()
+    total = area = 0.0
+    prev = 0
+    for cell, group in groupby(events, key=itemgetter(0)):
+        total += (xs[cell] - xs[prev]) * area
+        prev = cell
+        ya, yb = len(dy), 0
+        for _, j in group:
+            i, sign = (j, 1) if j < n else (j - n, -1)
+            y0, y1, z0, z1 = blocks[i]
+            block = count[y0:y1, z0:z1]
+            block += sign
+            ya, yb = min(ya, y0), max(yb, y1)
+        length[ya:yb] = (count[ya:yb] > 0) @ dz
+        area = float(dy @ length)
     return total
 
 
 def union_measure_2d(boxes) -> float:
     """Area of a union of (x0, y0, x1, y1) boxes; overlaps counted once."""
-    boxes = [b for b in boxes if b[2] > b[0] and b[3] > b[1]]
-    if not boxes:
-        return 0.0
-    xs = sorted({b[0] for b in boxes} | {b[2] for b in boxes})
-    total = 0.0
-    for x0, x1 in zip(xs, xs[1:]):
-        if x1 <= x0:
-            continue
-        xm = 0.5 * (x0 + x1)
-        spans = [(b[1], b[3]) for b in boxes if b[0] <= xm <= b[2]]
-        if spans:
-            total += (x1 - x0) * _merged_length(spans)
-    return total
+    return _union_volume(*_bounds(boxes, 2))
 
 
 def union_measure_3d(boxes) -> float:
     """Volume of a union of (x0, y0, z0, x1, y1, z1) boxes."""
-    boxes = [b for b in boxes if b[3] > b[0] and b[4] > b[1] and b[5] > b[2]]
-    if not boxes:
-        return 0.0
-    xs = sorted({b[0] for b in boxes} | {b[3] for b in boxes})
-    total = 0.0
-    for x0, x1 in zip(xs, xs[1:]):
-        if x1 <= x0:
-            continue
-        xm = 0.5 * (x0 + x1)
-        faces = [(b[1], b[2], b[4], b[5]) for b in boxes if b[0] <= xm <= b[3]]
-        if faces:
-            total += (x1 - x0) * union_measure_2d(faces)
-    return total
+    return _union_volume(*_bounds(boxes, 3))
 
 
-def _axis_cells(lo: float, hi: float, cuts) -> list[tuple[float, float]]:
-    """Elementary intervals of [lo, hi] split at interior cut coordinates."""
-    if lo == hi:
-        return [(lo, lo)]
-    coords = {lo, hi}
-    for c in cuts:
-        if lo < c < hi:
-            coords.add(c)
-    xs = sorted(coords)
-    return list(zip(xs, xs[1:]))
+def _covered(tlo, thi, clo, chi) -> bool:
+    """Whether the closed union of the target boxes lies in that of the covers.
 
-
-def _rep(a: float, b: float) -> float:
-    return a if a == b else 0.5 * (a + b)
-
-
-def _box_covered_2d(target, covers) -> bool:
-    x0, y0, x1, y1 = target
-    clipped = []
-    for c in covers:
-        cx0, cy0 = max(c[0], x0), max(c[1], y0)
-        cx1, cy1 = min(c[2], x1), min(c[3], y1)
-        if cx0 <= cx1 and cy0 <= cy1:
-            if cx0 == x0 and cy0 == y0 and cx1 == x1 and cy1 == y1:
-                return True
-            clipped.append((cx0, cy0, cx1, cy1))
-    if not clipped:
+    Only the parts of the covers inside the hull of the targets take part.
+    The sweep runs over closed cells (see _sweep) and keeps per (y, z) cell
+    the number of target and of cover boxes.  After the events of an x cell,
+    the cells their blocks span are searched for one that holds a target but
+    no cover, which makes the answer False; every other cell is as it was at
+    the last x cell, where none was bare.
+    """
+    if not len(tlo):
+        return True
+    clo, chi = np.maximum(clo, tlo.min(axis=0)), np.minimum(chi, thi.max(axis=0))
+    meet = (clo <= chi).all(axis=1)
+    if not meet.any():
         return False
-    xcells = _axis_cells(x0, x1, [v for c in clipped for v in (c[0], c[2])])
-    ycells = _axis_cells(y0, y1, [v for c in clipped for v in (c[1], c[3])])
-    for xa, xb in xcells:
-        rx = _rep(xa, xb)
-        cols = [c for c in clipped if c[0] <= rx <= c[2]]
-        if not cols:
-            return False
-        for ya, yb in ycells:
-            ry = _rep(ya, yb)
-            if not any(c[1] <= ry <= c[3] for c in cols):
-                return False
-    return True
-
-
-def _box_covered_3d(target, covers) -> bool:
-    x0, y0, z0, x1, y1, z1 = target
-    clipped = []
-    for c in covers:
-        cx0, cy0, cz0 = max(c[0], x0), max(c[1], y0), max(c[2], z0)
-        cx1, cy1, cz1 = min(c[3], x1), min(c[4], y1), min(c[5], z1)
-        if cx0 <= cx1 and cy0 <= cy1 and cz0 <= cz1:
-            if (cx0, cy0, cz0, cx1, cy1, cz1) == (x0, y0, z0, x1, y1, z1):
-                return True
-            clipped.append((cx0, cy0, cz0, cx1, cy1, cz1))
-    if not clipped:
-        return False
-    xcells = _axis_cells(x0, x1, [v for c in clipped for v in (c[0], c[3])])
-    for xa, xb in xcells:
-        rx = _rep(xa, xb)
-        slab = [(c[1], c[2], c[4], c[5]) for c in clipped if c[0] <= rx <= c[3]]
-        if not _box_covered_2d((y0, z0, y1, z1), slab):
+    clo, chi = clo[meet], chi[meet]
+    lo, hi = np.vstack((tlo, clo)), np.vstack((thi, chi))
+    n, n_targets = len(lo), len(tlo)
+    axes = _axes(lo, hi, closed=True)
+    plane = _cut_plane(axes, closed=True)
+    if plane:
+        return all(_covered(*targets, *covers) for targets, covers in
+                   zip(_halves(tlo, thi, *plane, closed=True), _halves(clo, chi, *plane, closed=True)))
+    events, blocks = _sweep(lo, hi, axes, closed=True)
+    (_, ys), (_, zs) = axes[1:]
+    targets, covers = np.zeros((2, 2 * len(ys) - 1, 2 * len(zs) - 1), dtype=np.int32)
+    for _, group in groupby(events, key=itemgetter(0)):
+        (ya, za), yb, zb = targets.shape, 0, 0
+        for _, j in group:
+            i, sign = (j, 1) if j < n else (j - n, -1)
+            y0, y1, z0, z1 = blocks[i]
+            block = (targets if i < n_targets else covers)[y0:y1, z0:z1]
+            block += sign
+            ya, yb, za, zb = min(ya, y0), max(yb, y1), min(za, z0), max(zb, z1)
+        if ((targets[ya:yb, za:zb] > 0) & (covers[ya:yb, za:zb] == 0)).any():
             return False
     return True
 
 
 def boxes_covered(target_boxes, cover_boxes, dims: int) -> bool:
-    """Exact containment of one closed box union inside another."""
-    check = _box_covered_2d if dims == 2 else _box_covered_3d
-    return all(check(t, cover_boxes) for t in target_boxes)
+    """Exact containment of one closed box union inside another (see _covered)."""
+    return _covered(*_bounds(target_boxes, dims), *_bounds(cover_boxes, dims))
 
 
 # ---------------------------------------------------------------------------
@@ -357,6 +429,23 @@ def profile_dataset(records, cell: float = DILATION_CELL_DEFAULT,
         campose_windows=angular_support(windows),
         demo_count=len(records),
     )
+
+
+# DVs read only from annotations a corpus may lack (object colors come from a
+# color annotator; no annotator reports table textures), so an empty support
+# means nothing was measured, not that the corpus does not vary.
+_UNMEASURED_WHEN_EMPTY = {
+    "objTex": "no record carries an object color",
+    "tableTex": "no annotator reports table textures",
+}
+
+
+def measured_support(profile: DatasetProfile, dv: str) -> DVSupport:
+    """The support of `dv` in `profile`; DVNotMeasured if the corpus never measured it."""
+    support = profile.dvs[dv]
+    if dv in _UNMEASURED_WHEN_EMPTY and support.is_empty():
+        raise DVNotMeasured(dv, _UNMEASURED_WHEN_EMPTY[dv])
+    return support
 
 
 def merge_profiles(a: DatasetProfile, b: DatasetProfile) -> DatasetProfile:

@@ -63,6 +63,17 @@ class EmptyDataset(DVCurateError):
     """Profile requested over zero records."""
 
 
+class DVNotMeasured(DVCurateError):
+    """A DV was asked for that the corpus never measured."""
+
+    def __init__(self, dv: str, reason: str):
+        super().__init__(f"{dv} is not measured: {reason}")
+        self.dv = dv
+
+    def report(self) -> dict:
+        return {**super().report(), "dv": self.dv}
+
+
 class SchemaError(DVCurateError):
     """A dataset record violates the line-delimited schema."""
 

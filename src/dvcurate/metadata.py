@@ -128,27 +128,31 @@ def parse_record(obj: dict, line: int = 0) -> DemoRecord:
     if cam_quat.shape != (4,):
         raise _schema(line, "camera_extrinsics.quat", "expected 4 numbers")
     cam_norm = math.sqrt(float(cam_quat @ cam_quat))
-    if abs(cam_norm - 1.0) > QUAT_NORM_TOL:
+    if not abs(cam_norm - 1.0) <= QUAT_NORM_TOL:  # a NaN fails too
         raise QuaternionNormError(line, f"camera quaternion norm {cam_norm:.8f} != 1")
     if not isinstance(steps, list) or not steps:
         raise _schema(line, "steps", "must be a non-empty list")
     try:
-        ts = np.array([s["t"] for s in steps], dtype=np.int64)
+        t_raw = [s["t"] for s in steps]
+        ts = np.array(t_raw, dtype=np.int64)
         ee_pos = np.array([s["ee_pos"] for s in steps], dtype=float)
         ee_quat = np.array([s["ee_quat"] for s in steps], dtype=float)
         gripper = np.array([s["gripper"] for s in steps], dtype=float)
     except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise _schema(line, "steps", f"bad step fields: {exc}") from None
+    if not all(type(t) is int for t in t_raw):  # a JSON true is a bool, not a timestamp
+        raise _schema(line, "steps.t", "timestamps must be integers")
     n = len(steps)
     if ee_pos.shape != (n, 3) or not np.isfinite(ee_pos).all():
         raise _schema(line, "steps.ee_pos", "expected 3 finite numbers per step")
     if ee_quat.shape != (n, 4):
         raise _schema(line, "steps.ee_quat", "expected 4 numbers per step")
     norms = np.sqrt(np.einsum("ij,ij->i", ee_quat, ee_quat))
-    if np.abs(norms - 1.0).max() > QUAT_NORM_TOL:
-        bad = int(np.abs(norms - 1.0).argmax())
+    err = np.abs(norms - 1.0)
+    if not (err <= QUAT_NORM_TOL).all():
+        bad = int(err.argmax())  # the first NaN, else the largest error
         raise QuaternionNormError(line, f"step {bad} quaternion norm {norms[bad]:.8f} != 1")
-    if gripper.min() < 0.0 or gripper.max() > 1.0:
+    if not ((gripper >= 0.0) & (gripper <= 1.0)).all():
         raise _schema(line, "gripper", "gripper values must lie in [0, 1]")
     if n > 1 and np.diff(ts).min() <= 0:
         raise _schema(line, "steps.t", "timestamps must be strictly increasing")
@@ -161,7 +165,8 @@ def parse_record(obj: dict, line: int = 0) -> DemoRecord:
         try:
             annotations = _annotations(ann)
         except (TypeError, ValueError, OverflowError) as exc:
-            raise _schema(line, "annotations.object_position", f"expected 3 numbers: {exc}") from None
+            raise _schema(line, "annotations.object_position",
+                          f"expected 3 finite numbers: {exc}") from None
     return DemoRecord(
         id=rid,
         lab=lab,
@@ -178,6 +183,8 @@ def _annotations(ann: dict) -> Annotations:
     if pos is not None:
         x, y, z = map(float, pos)  # raises unless pos holds exactly three numbers
         pos = (x, y, z)
+        if not all(map(math.isfinite, pos)):
+            raise ValueError(f"non-finite coordinate in {list(pos)}")
     return Annotations(
         target_object=ann.get("target_object"),
         object_position=pos,
@@ -234,6 +241,8 @@ def _parse_chunk(objs: list) -> list[DemoRecord] | None:
                           None if ann is None else _annotations(ann)))
         cam_pos = np.array(cam_pos, dtype=float)
         cam_quat = np.array(cam_quat, dtype=float)
+        if bool in map(type, ts):  # np.array would read true as 1
+            return None
         ts = np.array(ts)  # int64 only when every t is an integer
         ee_pos = np.array(ee_pos, dtype=float)
         ee_quat = np.array(ee_quat, dtype=float)
@@ -483,7 +492,7 @@ class HttpColorAnnotator:
     """POSTs {"id", "image_ref", "object"} and expects {"color": str}.
 
     Configured by environment: DVC_ANNOTATOR_URL (required),
-    DVC_ANNOTATOR_TIMEOUT_MS (default 5000), DVC_ANNOTATOR_RETRIES (default 1).
+    DVC_ANNOTATOR_TIMEOUT_MS (default 1000), DVC_ANNOTATOR_RETRIES (default 3).
     """
 
     def __init__(self, url: str | None = None, timeout_ms: int | None = None,
@@ -492,9 +501,9 @@ class HttpColorAnnotator:
         if not self.url:
             raise AnnotatorUnavailable(f"{ANNOTATOR_URL_ENV} is not set")
         if timeout_ms is None:
-            timeout_ms = int(os.environ.get(ANNOTATOR_TIMEOUT_ENV, "5000"))
+            timeout_ms = int(os.environ.get(ANNOTATOR_TIMEOUT_ENV, "1000"))
         if retries is None:
-            retries = int(os.environ.get(ANNOTATOR_RETRIES_ENV, "1"))
+            retries = int(os.environ.get(ANNOTATOR_RETRIES_ENV, "3"))
         self.timeout = timeout_ms / 1000.0
         self.retries = max(retries, 1)
         self.session = session or requests.Session()

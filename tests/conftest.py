@@ -2,8 +2,8 @@
 
 The oracles here are written straight from the documented definitions
 (centered truncated moving average, threshold crossings, linear-scan
-retrieval) so the optimized implementations are checked against independent
-code, not against themselves.
+retrieval, slab-sweep box unions) so the optimized implementations are
+checked against independent code, not against themselves.
 """
 
 from __future__ import annotations
@@ -59,6 +59,130 @@ def brute_close_index(gripper, window=metadata.GRIPPER_WINDOW,
         if s[i] >= threshold and s[i - 1] < threshold:
             return i
     return None
+
+
+# ---------------------------------------------------------------------------
+# definitional box-union oracles: the pure-Python slab sweep (union measure)
+# and per-box cell walk (containment) that dvalgebra's compressed-coordinate
+# sweep replaced, kept as they were apart from the public names
+
+def _merged_length(intervals) -> float:
+    """Total length of a union of 1D closed intervals."""
+    total = 0.0
+    cur0 = cur1 = None
+    for a, b in sorted(intervals):
+        if cur1 is None or a > cur1:
+            if cur1 is not None:
+                total += cur1 - cur0
+            cur0, cur1 = a, b
+        elif b > cur1:
+            cur1 = b
+    if cur1 is not None:
+        total += cur1 - cur0
+    return total
+
+
+def slab_union_measure_2d(boxes) -> float:
+    """Area of a union of (x0, y0, x1, y1) boxes; overlaps counted once."""
+    boxes = [b for b in boxes if b[2] > b[0] and b[3] > b[1]]
+    if not boxes:
+        return 0.0
+    xs = sorted({b[0] for b in boxes} | {b[2] for b in boxes})
+    total = 0.0
+    for x0, x1 in zip(xs, xs[1:]):
+        if x1 <= x0:
+            continue
+        xm = 0.5 * (x0 + x1)
+        spans = [(b[1], b[3]) for b in boxes if b[0] <= xm <= b[2]]
+        if spans:
+            total += (x1 - x0) * _merged_length(spans)
+    return total
+
+
+def slab_union_measure_3d(boxes) -> float:
+    """Volume of a union of (x0, y0, z0, x1, y1, z1) boxes."""
+    boxes = [b for b in boxes if b[3] > b[0] and b[4] > b[1] and b[5] > b[2]]
+    if not boxes:
+        return 0.0
+    xs = sorted({b[0] for b in boxes} | {b[3] for b in boxes})
+    total = 0.0
+    for x0, x1 in zip(xs, xs[1:]):
+        if x1 <= x0:
+            continue
+        xm = 0.5 * (x0 + x1)
+        faces = [(b[1], b[2], b[4], b[5]) for b in boxes if b[0] <= xm <= b[3]]
+        if faces:
+            total += (x1 - x0) * slab_union_measure_2d(faces)
+    return total
+
+
+def _axis_cells(lo: float, hi: float, cuts) -> list[tuple[float, float]]:
+    """Elementary intervals of [lo, hi] split at interior cut coordinates."""
+    if lo == hi:
+        return [(lo, lo)]
+    coords = {lo, hi}
+    for c in cuts:
+        if lo < c < hi:
+            coords.add(c)
+    xs = sorted(coords)
+    return list(zip(xs, xs[1:]))
+
+
+def _rep(a: float, b: float) -> float:
+    return a if a == b else 0.5 * (a + b)
+
+
+def _box_covered_2d(target, covers) -> bool:
+    x0, y0, x1, y1 = target
+    clipped = []
+    for c in covers:
+        cx0, cy0 = max(c[0], x0), max(c[1], y0)
+        cx1, cy1 = min(c[2], x1), min(c[3], y1)
+        if cx0 <= cx1 and cy0 <= cy1:
+            if cx0 == x0 and cy0 == y0 and cx1 == x1 and cy1 == y1:
+                return True
+            clipped.append((cx0, cy0, cx1, cy1))
+    if not clipped:
+        return False
+    xcells = _axis_cells(x0, x1, [v for c in clipped for v in (c[0], c[2])])
+    ycells = _axis_cells(y0, y1, [v for c in clipped for v in (c[1], c[3])])
+    for xa, xb in xcells:
+        rx = _rep(xa, xb)
+        cols = [c for c in clipped if c[0] <= rx <= c[2]]
+        if not cols:
+            return False
+        for ya, yb in ycells:
+            ry = _rep(ya, yb)
+            if not any(c[1] <= ry <= c[3] for c in cols):
+                return False
+    return True
+
+
+def _box_covered_3d(target, covers) -> bool:
+    x0, y0, z0, x1, y1, z1 = target
+    clipped = []
+    for c in covers:
+        cx0, cy0, cz0 = max(c[0], x0), max(c[1], y0), max(c[2], z0)
+        cx1, cy1, cz1 = min(c[3], x1), min(c[4], y1), min(c[5], z1)
+        if cx0 <= cx1 and cy0 <= cy1 and cz0 <= cz1:
+            if (cx0, cy0, cz0, cx1, cy1, cz1) == (x0, y0, z0, x1, y1, z1):
+                return True
+            clipped.append((cx0, cy0, cz0, cx1, cy1, cz1))
+    if not clipped:
+        return False
+    xcells = _axis_cells(x0, x1, [v for c in clipped for v in (c[0], c[3])])
+    for xa, xb in xcells:
+        rx = _rep(xa, xb)
+        slab = [(c[1], c[2], c[4], c[5]) for c in clipped if c[0] <= rx <= c[3]]
+        if not _box_covered_2d((y0, z0, y1, z1), slab):
+            return False
+    return True
+
+
+def slab_boxes_covered(target_boxes, cover_boxes, dims: int) -> bool:
+    """Exact containment of one closed box union inside another."""
+    check = _box_covered_2d if dims == 2 else _box_covered_3d
+    return all(check(t, cover_boxes) for t in target_boxes)
 
 
 # ---------------------------------------------------------------------------

@@ -230,6 +230,35 @@ def test_ingest_reports_bad_field_values(capsys, tmp_path, fault, field):
     assert (report["error"], report["line"], report["field"]) == ("SchemaError", 2, field)
 
 
+def _last_step(**fields):
+    return lambda row: row["steps"][-1].update(fields)
+
+
+@pytest.mark.parametrize(
+    "fault, error, field",
+    [
+        (lambda row: row.update(annotations={"object_position": [0.2, float("nan"), 0.02]}),
+         "SchemaError", "annotations.object_position"),
+        (lambda row: row["steps"][0].update(gripper=float("nan")), "SchemaError", "gripper"),
+        (_last_step(ee_quat=[float("nan")] * 4), "QuaternionNormError", None),
+        (lambda row: row["camera_extrinsics"].update(quat=[float("nan"), 0.0, 0.0, 0.0]),
+         "QuaternionNormError", None),
+        (_last_step(t=1.5), "SchemaError", "steps.t"),
+        (lambda row: row["steps"][1].update(t=True), "SchemaError", "steps.t"),
+    ],
+    ids=["nan object_position", "nan gripper", "nan step quat", "nan camera quat", "half-step t",
+         "bool t"],
+)
+def test_ingest_rejects_values_the_schema_forbids(capsys, tmp_path, fault, error, field):
+    bad = demo_row(rid="bad", n=2)
+    fault(bad)
+    path = write_jsonl(tmp_path / "bad.jsonl", [demo_row(rid="ok"), bad])
+    code, out, err = run_cli(capsys, "ingest", path)
+    assert code == 1 and out == ""
+    report = json.loads(err)
+    assert (report["error"], report["line"], report.get("field")) == (error, 2, field)
+
+
 def test_annotate_pipeline(capsys, tmp_path, corpus):
     colors = tmp_path / "colors.json"
     colors.write_text(json.dumps({"d0": "scarlet", "d1": "navy", "d2": "olive"}))
@@ -300,6 +329,29 @@ def test_classify_pair(capsys, tmp_path):
     assert payload["aligned"] is True
     assert payload["rho"] == 5.0
     assert payload["cotrain_size"] == pytest.approx(9 * 0.02 ** 3)
+
+
+@pytest.mark.parametrize("dv", ["tableTex", "objTex"])
+def test_classify_refuses_a_dv_it_did_not_measure(capsys, corpus, dv):
+    # no annotator reports table textures, and no record of `corpus` has a color
+    for fmt in ("text", "json"):
+        code, out, err = run_cli(capsys, "classify", "--target", corpus, "--cotrain", corpus,
+                                 "--dv", dv, "--format", fmt)
+        assert code == 1 and out == ""
+        report = json.loads(err)
+        assert (report["error"], report["dv"]) == ("DVNotMeasured", dv)
+
+
+def test_classify_object_texture_needs_colors_on_both_sides(capsys, tmp_path, corpus):
+    colored = write_jsonl(tmp_path / "colored.jsonl", [
+        demo_row(rid=f"c{i}", annotations={"object_color": color})
+        for i, color in enumerate(("red", "blue", "green", "red", "yellow", "purple"))])
+    code, out, _ = run_cli(capsys, "classify", "--target", colored, "--cotrain", colored,
+                           "--dv", "objTex")
+    assert code == 0 and out.strip() == "not_diverse_aligned"
+    code, _, err = run_cli(capsys, "classify", "--target", corpus, "--cotrain", colored,
+                           "--dv", "objTex")
+    assert code == 1 and json.loads(err)["error"] == "DVNotMeasured"
 
 
 def test_retrieve_inline_query_and_report(capsys, tmp_path, corpus):

@@ -1,5 +1,11 @@
 from __future__ import annotations
 
+import json
+import math
+import time
+import tracemalloc
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -10,7 +16,13 @@ from dvcurate import metadata
 from dvcurate.dvalgebra import CaseLabel
 from dvcurate.errors import EmptyDataset, KindMismatch, ZeroTargetSupport
 
-from conftest import bin_camera_pos, make_record
+from conftest import (
+    bin_camera_pos,
+    make_record,
+    slab_boxes_covered,
+    slab_union_measure_2d,
+    slab_union_measure_3d,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -162,6 +174,199 @@ def test_is_aligned_semantics():
 
 
 # ---------------------------------------------------------------------------
+# the compressed-coordinate sweep against the slab-sweep oracles on float boxes
+
+def _centers(dims, lo, hi, step):
+    """Lists of box centers whose coordinates are lattice points (so that
+    duplicates, shared faces and shared sweep events occur) or arbitrary floats."""
+    coord = st.one_of(st.integers(int(lo / step), int(hi / step)).map(lambda k: k * step),
+                      st.floats(lo, hi, allow_nan=False))
+    return st.lists(st.tuples(*[coord] * dims), min_size=0, max_size=40)
+
+
+def _cubes(centers, cell=dva.DILATION_CELL_DEFAULT):
+    return [dva._dilate3(c, cell) for c in centers]
+
+
+def _windows(centers, side=dva.ANGULAR_CELL_DEFAULT):
+    h = side / 2.0
+    return [(t - h, p - h, t + h, p + h) for t, p in centers]
+
+
+_profile_cubes = _centers(3, 0.0, 0.1, 0.01).map(_cubes)
+_angular_windows = _centers(2, 0.0, 20.0, 1.0).map(_windows)
+
+
+def _f32(boxes):
+    """Boxes with their bounds rounded to float32.  The oracles walk each cell
+    at its midpoint; between two float64 bounds one ulp apart the midpoint
+    rounds onto a bound and the oracles miss the gap (see
+    test_containment_sees_a_gap_of_one_ulp).  Between float32 values the
+    float64 midpoint is exact, and near-coincident faces still coincide."""
+    return [tuple(float(np.float32(v)) for v in b) for b in boxes]
+
+
+def _arbitrary_boxes(dims):
+    """Boxes over a few shared coordinates and arbitrary floats, including
+    boxes of zero extent along one or more axes."""
+    coord = st.one_of(st.sampled_from([0.0, 0.25, 0.5, 1.0, 1.5]),
+                      st.floats(0.0, 1.5, allow_nan=False, width=32))
+    box = st.tuples(*[coord] * (2 * dims)).map(
+        lambda b: tuple(min(b[d], b[d + dims]) for d in range(dims))
+        + tuple(max(b[d], b[d + dims]) for d in range(dims)))
+    return st.lists(box, min_size=0, max_size=12)
+
+
+def _agree(got, want):
+    assert got == pytest.approx(want, rel=1e-12, abs=0.0)
+
+
+# The sweep runs on one grid, or cuts the boxes in two while the grid would
+# exceed _GRID_CELLS.  At 9 cells, the least that lets the cuts end, the small
+# inputs here are cut down to a few bounds per axis.
+_cut_small = mock.patch.object(dva, "_GRID_CELLS", 9)
+
+
+def _agree_in_both_modes(measure, oracle, boxes):
+    want = oracle(boxes)
+    _agree(measure(boxes), want)
+    with _cut_small:
+        _agree(measure(boxes), want)
+
+
+def _covered_in_both_modes(targets, covers, dims):
+    want = slab_boxes_covered(targets, covers, dims=dims)
+    assert dva.boxes_covered(targets, covers, dims=dims) == want
+    with _cut_small:
+        assert dva.boxes_covered(targets, covers, dims=dims) == want
+
+
+@given(_profile_cubes)
+@settings(max_examples=150, deadline=None)
+def test_sweep_volume_matches_slab_oracle_on_profile_cubes(boxes):
+    _agree_in_both_modes(dva.union_measure_3d, slab_union_measure_3d, boxes)
+
+
+@given(_angular_windows)
+@settings(max_examples=150, deadline=None)
+def test_sweep_area_matches_slab_oracle_on_angular_windows(windows):
+    _agree_in_both_modes(dva.union_measure_2d, slab_union_measure_2d, windows)
+
+
+@given(_arbitrary_boxes(3))
+@settings(max_examples=150, deadline=None)
+def test_sweep_volume_matches_slab_oracle_on_arbitrary_boxes(boxes):
+    _agree_in_both_modes(dva.union_measure_3d, slab_union_measure_3d, boxes)
+
+
+@given(_profile_cubes, _profile_cubes)
+@settings(max_examples=150, deadline=None)
+def test_sweep_containment_matches_oracle_on_profile_cubes(targets, covers):
+    targets, covers = _f32(targets), _f32(covers)
+    # the targets are also tried against covers that hold half of them, so
+    # both answers occur
+    for cover_set in (covers, covers + targets[::2]):
+        _covered_in_both_modes(targets, cover_set, dims=3)
+
+
+@given(_angular_windows, _angular_windows)
+@settings(max_examples=150, deadline=None)
+def test_sweep_containment_matches_oracle_on_angular_windows(targets, covers):
+    targets, covers = _f32(targets), _f32(covers)
+    for cover_set in (covers, covers + targets[1::2]):
+        _covered_in_both_modes(targets, cover_set, dims=2)
+
+
+@given(_arbitrary_boxes(2), _arbitrary_boxes(2))
+@settings(max_examples=300, deadline=None)
+def test_sweep_containment_matches_oracle_on_arbitrary_2d_boxes(targets, covers):
+    _covered_in_both_modes(targets, covers, dims=2)
+
+
+@given(_arbitrary_boxes(3), _arbitrary_boxes(3))
+@settings(max_examples=300, deadline=None)
+def test_sweep_containment_matches_oracle_on_arbitrary_3d_boxes(targets, covers):
+    _covered_in_both_modes(targets, covers, dims=3)
+
+
+def test_containment_sees_a_gap_of_one_ulp():
+    # closed covers [0, a] and [b, 1], with b the float after a, leave the
+    # open interval (a, b) of the target bare
+    a = 0.5
+    b = math.nextafter(a, 1.0)
+    target = [(0.0, 0.0, 1.0, 1.0)]
+    assert not dva.boxes_covered(target, [(0.0, 0.0, a, 1.0), (b, 0.0, 1.0, 1.0)], dims=2)
+    assert dva.boxes_covered(target, [(0.0, 0.0, b, 1.0), (a, 0.0, 1.0, 1.0)], dims=2)
+
+
+@given(_profile_cubes, _angular_windows, st.randoms(use_true_random=False))
+@settings(max_examples=200, deadline=None)
+def test_size_does_not_depend_on_box_order(cubes, windows, rnd):
+    for boxes, measure in ((cubes, dva.union_measure_3d), (windows, dva.union_measure_2d)):
+        shuffled = list(boxes)
+        rnd.shuffle(shuffled)
+        assert measure(shuffled) == measure(boxes) == measure(frozenset(boxes))
+        # cut, the halves come from the distinct bounds and sum in coordinate order
+        with _cut_small:
+            assert measure(shuffled) == measure(boxes) == measure(frozenset(boxes))
+
+
+def test_size_does_not_depend_on_box_order_when_events_share_a_cell():
+    # cubes on a coarse x lattice with float y and z: many events share an x
+    # cell, and a row's length must not depend on which of them came first
+    rng = np.random.default_rng(7)
+    for _ in range(50):
+        centers = rng.uniform(0.0, 0.1, size=(30, 3))
+        centers[:, 0] = np.round(centers[:, 0] * 50) / 50
+        boxes = _cubes(centers.tolist())
+        shuffled = [boxes[k] for k in rng.permutation(len(boxes))]
+        assert dva.union_measure_3d(shuffled) == dva.union_measure_3d(boxes)
+
+
+def test_desk_scale_volume_is_exact_and_fast():
+    # 800 profile cubes packed into a 0.1 m cube: every x slab crosses
+    # hundreds of boxes, which made the slab sweep take seconds
+    rng = np.random.default_rng(800)
+    boxes = _cubes(rng.uniform(0.0, 0.1, size=(800, 3)).tolist())
+    elapsed = []
+    for _ in range(2):
+        start = time.perf_counter()
+        got = dva.union_measure_3d(boxes)
+        elapsed.append(time.perf_counter() - start)
+    _agree(got, slab_union_measure_3d(boxes))
+    assert min(elapsed) < 1.5, f"800 cubes took {min(elapsed):.2f} s"
+
+
+def test_thousands_of_sparse_cubes_take_little_memory():
+    # 3000 profile cubes scattered over a 2 m workspace, against covers that
+    # hold all of them but one, and then all of them.  One grid over the
+    # closed cells of all 9000 boxes would hold about (4 * 9000)^2 int32
+    # counts, gigabytes; the cut grids hold at most _GRID_CELLS each.
+    rng = np.random.default_rng(3000)
+    targets = _cubes(rng.uniform(0.0, 2.0, size=(3000, 3)).tolist())
+    covers = _cubes(rng.uniform(0.0, 2.0, size=(3000, 3)).tolist()) + targets[1:]
+    calls = [
+        lambda: dva.union_measure_3d(targets),
+        lambda: dva.boxes_covered(targets, covers, dims=3),
+        lambda: dva.boxes_covered(targets, covers + targets[:1], dims=3),
+    ]
+    start = time.perf_counter()
+    volume, partly, wholly = (call() for call in calls)
+    elapsed = time.perf_counter() - start
+    assert not partly and wholly
+    assert volume == pytest.approx(3000 * 0.02 ** 3, rel=0.01)  # few overlaps
+    assert elapsed < 5.0, f"3000 sparse cubes took {elapsed:.2f} s"
+    tracemalloc.start()
+    try:
+        for call in calls:
+            call()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 32e6, f"peak {peak / 1e6:.0f} MB"
+
+
+# ---------------------------------------------------------------------------
 # diversity ratio and the four cases
 
 def test_diversity_ratio_values():
@@ -303,3 +508,18 @@ def test_classify_profiled_datasets_end_to_end():
     assert label == CaseLabel.DIVERSE_ALIGNED
     label2 = dva.classify_case(pt.dvs["objSpat"], dva.profile_dataset(spread).dvs["objSpat"])
     assert label2 == CaseLabel.DIVERSE_MISALIGNED
+
+
+def test_supports_reject_non_finite_bounds(tmp_path):
+    nan, inf = float("nan"), float("inf")
+    with pytest.raises(ValueError, match="non-finite"):
+        dva.boxes3d_support([(0.0, 0.0, nan, 1.0, 1.0, 1.0)])
+    with pytest.raises(ValueError, match="non-finite"):
+        dva.angular_support([(0.0, -inf, 1.0, 1.0)])
+    # a profile file read from outside the program: json accepts NaN
+    prof = dva.profile_to_dict(dva.profile_dataset(_profile_corpus()))
+    prof["dvs"]["objSpat"]["elements"][0][2] = nan
+    path = tmp_path / "profile.json"
+    path.write_text(json.dumps(prof), encoding="utf-8")
+    with pytest.raises(ValueError, match="non-finite"):
+        dva.load_profile(path)

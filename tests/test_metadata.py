@@ -249,6 +249,13 @@ _FAULTS = {
     "t past int64": lambda row: _last_step(row, t=2**63),
     "non-iterable object_position": lambda row: row.update(annotations={"object_position": 5}),
     "two-number object_position": lambda row: row.update(annotations={"object_position": [0.2, 0.0]}),
+    "nan object_position": lambda row: row.update(
+        annotations={"object_position": [0.2, float("nan"), 0.02]}),
+    "inf object_position": lambda row: row.update(
+        annotations={"object_position": [float("-inf"), 0.0, 0.02]}),
+    "nan camera quat": lambda row: row["camera_extrinsics"].update(
+        quat=[float("nan"), 0.0, 0.0, 0.0]),
+    "half-step t": lambda row: _last_step(row, t=1.5),
 }
 
 
@@ -521,6 +528,15 @@ def test_http_annotator_env_config(annotator_server, monkeypatch):
     annotator = metadata.HttpColorAnnotator()
     assert annotator.timeout == pytest.approx(0.25)
     assert annotator.retries == 4
+
+
+def test_http_annotator_defaults_follow_readme(annotator_server, monkeypatch):
+    # the README's annotator table documents 1000 ms and 3 attempts
+    monkeypatch.delenv(metadata.ANNOTATOR_TIMEOUT_ENV, raising=False)
+    monkeypatch.delenv(metadata.ANNOTATOR_RETRIES_ENV, raising=False)
+    annotator = metadata.HttpColorAnnotator(url=annotator_server)
+    assert annotator.timeout == 1.0
+    assert annotator.retries == 3
 
 
 # ---------------------------------------------------------------------------
