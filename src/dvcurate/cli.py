@@ -19,7 +19,7 @@ import sys
 import numpy as np
 
 from . import dvalgebra, genkit, metadata, retrieval, sampler, taskspec
-from .errors import DVCurateError
+from .errors import DVCurateError, InputError
 
 
 def _print_json(obj, stream=None) -> None:
@@ -29,6 +29,19 @@ def _print_json(obj, stream=None) -> None:
 def _read_ids(path) -> list[str]:
     with open(path, encoding="utf-8") as fh:
         return [line.strip() for line in fh if line.strip()]
+
+
+def _read_anchors(path) -> list[tuple[np.ndarray, np.ndarray]]:
+    """A JSON list of {"pos": [x,y,z], "quat": [w,x,y,z]} anchor poses."""
+    with open(path, encoding="utf-8") as fh:
+        try:
+            anchors = [(np.asarray(a["pos"], dtype=float), np.asarray(a["quat"], dtype=float))
+                       for a in json.load(fh)]
+        except (KeyError, TypeError, ValueError) as exc:
+            raise InputError(f"bad anchors file {path}: {exc!r}") from None
+    if any(pos.shape != (3,) or quat.shape != (4,) for pos, quat in anchors):
+        raise InputError(f"bad anchors file {path}: each anchor needs a 3-vector pos and a 4-vector quat")
+    return anchors
 
 
 # ---------------------------------------------------------------------------
@@ -104,9 +117,7 @@ def _cmd_gen_synth(args) -> int:
         goal = taskspec.PredicateSequence(prims)
     else:
         goal = taskspec.parse_file(args.spec).goal
-    with open(args.anchors, encoding="utf-8") as fh:
-        anchor_rows = json.load(fh)
-    anchors = [(np.asarray(a["pos"], dtype=float), np.asarray(a["quat"], dtype=float)) for a in anchor_rows]
+    anchors = _read_anchors(args.anchors)
     segments = genkit.decompose(source, goal)
     synth = genkit.synthesize(segments, anchors, args.bridge_step, like=source, new_id=args.new_id)
     metadata.write_records(args.out, [synth])

@@ -26,7 +26,6 @@ import numpy as np
 from . import lexicon as lexmod
 from . import metadata as metamod
 from .errors import DVNotMeasured, EmptyDataset, KindMismatch, ZeroTargetSupport
-from .geometry import spherical_about
 
 RHO_DEFAULT = 5.0
 DILATION_CELL_DEFAULT = 0.02
@@ -401,7 +400,7 @@ def profile_dataset(records, cell: float = DILATION_CELL_DEFAULT,
         if bin_label is None:
             bin_label = metamod.bin_camera_pose(rec.camera_pos, table_center, bins)
         bins_set.add(bin_label)
-        _, theta, phi = spherical_about(rec.camera_pos, table_center)
+        theta, phi = metamod.camera_angles(rec.camera_pos, table_center)
         windows.add((theta - half_ang, phi - half_ang, theta + half_ang, phi + half_ang))
         pos = ann.object_position if ann else None
         if pos is None:

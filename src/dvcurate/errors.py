@@ -139,3 +139,7 @@ class DegenerateAnchor(DVCurateError):
 
 class ConfigError(DVCurateError):
     """Lab configuration violates roster-size requirements."""
+
+
+class InputError(DVCurateError, ValueError):
+    """A command-line value, environment setting or side file cannot be read."""

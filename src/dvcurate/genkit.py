@@ -22,7 +22,7 @@ from .geometry import (
     pose_compose,
     pose_inverse,
     quat_mul,
-    quat_rotate_many,
+    quat_rotate,
     quat_slerp,
 )
 from .metadata import GRIPPER_WINDOW, GRIPPER_THRESHOLD, DemoRecord, Steps, smooth_gripper
@@ -51,10 +51,14 @@ def _fade(t: np.ndarray) -> np.ndarray:
 
 
 def _value_noise(gen, width: int, height: int, octaves: int, persistence: float) -> np.ndarray:
-    """Summed bilinear value noise normalized to [0, 1]."""
-    ys, xs = np.mgrid[0:height, 0:width].astype(float)
-    u_base = xs / width
-    v_base = ys / height
+    """Summed bilinear value noise normalized to [0, 1].
+
+    Separable: each lattice row is interpolated along x once, into an
+    (L, width) array, and the rows are then blended along y, which is the
+    same float operations in the same order as a per-pixel bilinear blend.
+    """
+    u_base = np.arange(width, dtype=float) / width
+    v_base = np.arange(height, dtype=float) / height
     total = np.zeros((height, width))
     amp = 1.0
     freq = float(NOISE_BASE_CELLS)
@@ -65,12 +69,9 @@ def _value_noise(gen, width: int, height: int, octaves: int, persistence: float)
         i0 = np.floor(u).astype(int)
         j0 = np.floor(v).astype(int)
         fu = _fade(u - i0)
-        fv = _fade(v - j0)
-        n00 = lattice[j0, i0]
-        n01 = lattice[j0, i0 + 1]
-        n10 = lattice[j0 + 1, i0]
-        n11 = lattice[j0 + 1, i0 + 1]
-        total += amp * ((n00 * (1 - fu) + n01 * fu) * (1 - fv) + (n10 * (1 - fu) + n11 * fu) * fv)
+        fv = _fade(v - j0)[:, None]
+        rows = lattice[:, i0] * (1 - fu) + lattice[:, i0 + 1] * fu
+        total += amp * (rows[j0] * (1 - fv) + rows[j0 + 1] * fv)
         amp *= persistence
         freq *= 2.0
     lo = total.min()
@@ -385,21 +386,6 @@ def decompose(demo: DemoRecord, goal: PredicateSequence,
     return segments
 
 
-def _quat_mul_many(q: np.ndarray, quats: np.ndarray) -> np.ndarray:
-    """Hamilton product q ⊗ quats[i] for an (N, 4) array."""
-    w, x, y, z = q
-    qw, qx, qy, qz = quats[:, 0], quats[:, 1], quats[:, 2], quats[:, 3]
-    return np.stack(
-        [
-            w * qw - x * qx - y * qy - z * qz,
-            w * qx + x * qw + y * qz - z * qy,
-            w * qy - x * qz + y * qw + z * qx,
-            w * qz + x * qy - y * qx + z * qw,
-        ],
-        axis=1,
-    )
-
-
 def synthesize(segments, new_anchors, bridge_step: float,
                like: DemoRecord | None = None, new_id: str = "synth-0") -> DemoRecord:
     """Re-anchor segments rigidly and stitch them into one trajectory.
@@ -428,8 +414,8 @@ def synthesize(segments, new_anchors, bridge_step: float,
             raise DegenerateAnchor(f"segment anchor quaternion {seg.anchor_quat} is not unit norm")
         inv_pos, inv_quat = pose_inverse(seg.anchor_pos, seg.anchor_quat)
         t_pos, t_quat = pose_compose(np.asarray(npos, dtype=float), nquat, inv_pos, inv_quat)
-        pos = quat_rotate_many(t_quat, seg.steps.ee_pos) + t_pos
-        quat = _quat_mul_many(t_quat, seg.steps.ee_quat)
+        pos = quat_rotate(t_quat, seg.steps.ee_pos) + t_pos
+        quat = quat_mul(t_quat, seg.steps.ee_quat)
         mapped.append((pos, quat, seg.steps.gripper.copy()))
 
     out_pos = [mapped[0][0]]

@@ -24,16 +24,19 @@ def is_unit_quat(q, tol: float = UNIT_NORM_TOL) -> bool:
 
 
 def quat_mul(a, b) -> np.ndarray:
-    """Hamilton product a ⊗ b."""
-    aw, ax, ay, az = a
-    bw, bx, by, bz = b
-    return np.array(
+    """Hamilton product a ⊗ b, broadcast over leading axes."""
+    a = np.asarray(a, dtype=float)
+    b = np.asarray(b, dtype=float)
+    aw, ax, ay, az = a[..., 0], a[..., 1], a[..., 2], a[..., 3]
+    bw, bx, by, bz = b[..., 0], b[..., 1], b[..., 2], b[..., 3]
+    return np.stack(
         [
             aw * bw - ax * bx - ay * by - az * bz,
             aw * bx + ax * bw + ay * bz - az * by,
             aw * by - ax * bz + ay * bw + az * bx,
             aw * bz + ax * by - ay * bx + az * bw,
-        ]
+        ],
+        axis=-1,
     )
 
 
@@ -42,21 +45,22 @@ def quat_conj(q) -> np.ndarray:
     return np.array([w, -x, -y, -z])
 
 
+def cross(a, b) -> np.ndarray:
+    """Cross product over the last axis of two (..., 3) arrays, broadcast."""
+    a1, a2, a3 = a[..., 0], a[..., 1], a[..., 2]
+    b1, b2, b3 = b[..., 0], b[..., 1], b[..., 2]
+    return np.stack([a2 * b3 - a3 * b2, a3 * b1 - a1 * b3, a1 * b2 - a2 * b1], axis=-1)
+
+
 def quat_rotate(q, v) -> np.ndarray:
-    """Rotate vector v by unit quaternion q."""
+    """Rotate vector v, or each row of an (N, 3) array, by unit quaternion q."""
     w, x, y, z = q
     u = np.array([x, y, z], dtype=float)
     v = np.asarray(v, dtype=float)
-    return v + 2.0 * np.cross(u, np.cross(u, v) + w * v)
+    return v + 2.0 * cross(u, cross(u, v) + w * v)
 
 
-def quat_rotate_many(q, vs: np.ndarray) -> np.ndarray:
-    """Rotate an (N, 3) array of vectors by a single unit quaternion."""
-    w, x, y, z = q
-    u = np.array([x, y, z], dtype=float)
-    vs = np.asarray(vs, dtype=float)
-    c = np.cross(np.broadcast_to(u, vs.shape), vs) + w * vs
-    return vs + 2.0 * np.cross(np.broadcast_to(u, vs.shape), c)
+quat_rotate_many = quat_rotate  # the (N, 3) form, kept by name
 
 
 def quat_slerp(a, b, t: float) -> np.ndarray:
@@ -123,17 +127,17 @@ def look_at_quat(eye, target, up=(0.0, 0.0, 1.0)) -> np.ndarray:
         raise ValueError("eye coincides with target")
     fwd = fwd / n
     up = np.asarray(up, dtype=float)
-    right = np.cross(up, fwd)
+    right = cross(up, fwd)
     rn = np.linalg.norm(right)
     if rn < 1e-12:
         # forward parallel to up: pick an arbitrary consistent right axis
-        right = np.cross(np.array([1.0, 0.0, 0.0]), fwd)
+        right = cross(np.array([1.0, 0.0, 0.0]), fwd)
         rn = np.linalg.norm(right)
         if rn < 1e-12:
-            right = np.cross(np.array([0.0, 1.0, 0.0]), fwd)
+            right = cross(np.array([0.0, 1.0, 0.0]), fwd)
             rn = np.linalg.norm(right)
     right = right / rn
-    cam_up = np.cross(fwd, right)
+    cam_up = cross(fwd, right)
     m = np.column_stack([right, cam_up, fwd])
     return rotmat_to_quat(m)
 

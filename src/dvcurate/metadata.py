@@ -40,6 +40,7 @@ from . import lexicon as lexmod
 from .errors import (
     AnnotatorUnavailable,
     DegeneratePose,
+    InputError,
     NoObjectFound,
     NoVerbFound,
     QuaternionNormError,
@@ -318,25 +319,29 @@ def record_to_dict(record: DemoRecord) -> dict:
             "object_color": a.object_color,
             "camera_bin": a.camera_bin,
         }
+    steps = record.steps
     return {
         "id": record.id,
         "lab": record.lab,
         "instructions": list(record.instructions),
         "camera_extrinsics": {
-            "pos": [float(v) for v in record.camera_pos],
-            "quat": [float(v) for v in record.camera_quat],
+            "pos": _floats(record.camera_pos),
+            "quat": _floats(record.camera_quat),
         },
         "steps": [
-            {
-                "t": int(record.steps.t[i]),
-                "ee_pos": [float(v) for v in record.steps.ee_pos[i]],
-                "ee_quat": [float(v) for v in record.steps.ee_quat[i]],
-                "gripper": float(record.steps.gripper[i]),
-            }
-            for i in range(len(record.steps))
+            {"t": t, "ee_pos": pos, "ee_quat": quat, "gripper": grip}
+            for t, pos, quat, grip in zip(
+                np.asarray(steps.t, dtype=np.int64).tolist(), _floats(steps.ee_pos),
+                _floats(steps.ee_quat), _floats(steps.gripper),
+            )
         ],
         "annotations": ann,
     }
+
+
+def _floats(values) -> list:
+    """Nested lists of Python floats, as `float()` of each element gives."""
+    return np.asarray(values, dtype=float).tolist()
 
 
 def write_records(path, records) -> int:
@@ -429,6 +434,15 @@ def _wrap_deg(delta: float) -> float:
     return (delta + 180.0) % 360.0 - 180.0
 
 
+def camera_angles(camera_pos, table_center=(0.0, 0.0, 0.0)) -> tuple[float, float]:
+    """(theta, phi) in degrees of a camera position about the table center."""
+    try:
+        _, theta, phi = spherical_about(camera_pos, table_center)
+    except ValueError:
+        raise DegeneratePose("camera position coincides with table center") from None
+    return theta, phi
+
+
 def bin_camera_pose(camera_pos, table_center=(0.0, 0.0, 0.0),
                     bins: tuple[CameraBin, ...] = DEFAULT_CAMERA_BINS) -> str:
     """Angular camera bin of a camera position about the table center.
@@ -437,10 +451,7 @@ def bin_camera_pose(camera_pos, table_center=(0.0, 0.0, 0.0),
     theta_width/2 of the bin center and the azimuth within phi_width/2
     (wrap-aware), boundaries inclusive.  Returns `unbinned` when no bin fits.
     """
-    try:
-        _, theta, phi = spherical_about(camera_pos, table_center)
-    except ValueError:
-        raise DegeneratePose("camera position coincides with table center") from None
+    theta, phi = camera_angles(camera_pos, table_center)
     for b in bins:
         if abs(theta - b.theta_center) <= b.theta_width / 2.0 and \
                 abs(_wrap_deg(phi - b.phi_center)) <= b.phi_width / 2.0:
@@ -452,19 +463,22 @@ def load_bin_table(path) -> tuple[CameraBin, ...]:
     """Read a camera-bin table from JSON: a list of
     {"label","theta_center","phi_center","theta_width","phi_width"}."""
     with open(path, encoding="utf-8") as fh:
-        rows = json.load(fh)
-    bins = []
-    for row in rows:
-        bins.append(
-            CameraBin(
-                label=row["label"],
-                theta_center=float(row["theta_center"]),
-                phi_center=float(row["phi_center"]),
-                theta_width=float(row.get("theta_width", CAMERA_BIN_POLAR_WIDTH)),
-                phi_width=float(row.get("phi_width", CAMERA_BIN_AZIMUTH_WIDTH)),
+        try:
+            rows = json.load(fh)
+            if not isinstance(rows, list):
+                raise TypeError(f"expected a list of bins, got {type(rows).__name__}")
+            return tuple(
+                CameraBin(
+                    label=row["label"],
+                    theta_center=float(row["theta_center"]),
+                    phi_center=float(row["phi_center"]),
+                    theta_width=float(row.get("theta_width", CAMERA_BIN_POLAR_WIDTH)),
+                    phi_width=float(row.get("phi_width", CAMERA_BIN_AZIMUTH_WIDTH)),
+                )
+                for row in rows
             )
-        )
-    return tuple(bins)
+        except (KeyError, TypeError, ValueError) as exc:
+            raise InputError(f"bad camera-bin table {path}: {exc!r}") from None
 
 
 # ---------------------------------------------------------------------------
@@ -488,6 +502,14 @@ class OfflineColorTable:
         return label
 
 
+def _env_int(name: str, default: str) -> int:
+    text = os.environ.get(name, default)
+    try:
+        return int(text)
+    except ValueError:
+        raise InputError(f"{name} must be an integer, got {text!r}") from None
+
+
 class HttpColorAnnotator:
     """POSTs {"id", "image_ref", "object"} and expects {"color": str}.
 
@@ -501,9 +523,9 @@ class HttpColorAnnotator:
         if not self.url:
             raise AnnotatorUnavailable(f"{ANNOTATOR_URL_ENV} is not set")
         if timeout_ms is None:
-            timeout_ms = int(os.environ.get(ANNOTATOR_TIMEOUT_ENV, "1000"))
+            timeout_ms = _env_int(ANNOTATOR_TIMEOUT_ENV, "1000")
         if retries is None:
-            retries = int(os.environ.get(ANNOTATOR_RETRIES_ENV, "3"))
+            retries = _env_int(ANNOTATOR_RETRIES_ENV, "3")
         self.timeout = timeout_ms / 1000.0
         self.retries = max(retries, 1)
         self.session = session or requests.Session()
@@ -524,7 +546,7 @@ class HttpColorAnnotator:
                 if "color" not in body:
                     raise AnnotatorUnavailable("annotator response lacks 'color'")
                 return str(body["color"])
-            except (requests.RequestException, ValueError) as exc:
+            except (requests.RequestException, ValueError, AnnotatorUnavailable) as exc:
                 last = exc
         raise AnnotatorUnavailable(f"annotator failed after {self.retries} tries: {last}")
 
@@ -572,10 +594,10 @@ def annotate_record(record: DemoRecord, annotator=None,
 
 def table_center_of(value) -> tuple[float, float, float]:
     """Parse an 'x,y,z' string or 3-sequence into a table-center tuple."""
-    if isinstance(value, str):
-        parts = [float(v) for v in value.split(",")]
-    else:
-        parts = [float(v) for v in value]
+    try:
+        parts = [float(v) for v in (value.split(",") if isinstance(value, str) else value)]
+    except (TypeError, ValueError):
+        parts = []
     if len(parts) != 3 or not all(math.isfinite(v) for v in parts):
-        raise ValueError("table center needs exactly three finite numbers")
+        raise InputError(f"table center needs exactly three finite numbers, got {value!r}")
     return tuple(parts)

@@ -6,10 +6,17 @@ from the co-training pool, then picks uniformly with replacement within the
 chosen pool.  Each batch derives its own RNG substream from (seed, batch
 index), so any batch can be generated out of order and the whole stream is
 reproducible across platforms.
+
+Uniform layout of a batch (the stream's reproducibility contract): one draw
+u = gen.random(2 * batch_size) from the batch substream; slot k takes the
+target pool iff u[2k] < omega, and position floor(u[2k+1] * pool_size) in
+the chosen pool.  PCG64's random(n) equals n sequential random() calls, so
+this is the same stream as two scalar draws per slot.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 
 from .errors import EmptyPoolSelected
@@ -42,24 +49,18 @@ class SampleStream:
 
 
 def _batch_with_flags(stream: SampleStream, index: int) -> tuple[list, list]:
-    gen = substream(stream.seed, _BATCH_DOMAIN, index)
-    ids = []
-    flags = []
-    for _ in range(stream.batch_size):
-        pick_target = gen.random() < stream.omega
-        pool = stream.target_ids if pick_target else stream.cotrain_ids
-        ids.append(pool[int(gen.random() * len(pool))])
-        flags.append(pick_target)
+    u = substream(stream.seed, _BATCH_DOMAIN, index).random(2 * stream.batch_size).tolist()
+    target, cotrain, omega = stream.target_ids, stream.cotrain_ids, stream.omega
+    n_target, n_cotrain = len(target), len(cotrain)
+    flags = [p < omega for p in u[0::2]]
+    ids = [target[int(q * n_target)] if f else cotrain[int(q * n_cotrain)]
+           for f, q in zip(flags, u[1::2])]
     return ids, flags
 
 
 def batch(stream: SampleStream, index: int) -> list:
-    """Batch `index` of the stream: batch_size ids, deterministic per index.
-
-    Each slot consumes exactly two unit uniforms from the batch substream:
-    the pool choice (target iff u < omega) and the within-pool position
-    (floor(u * pool_size)).
-    """
+    """Batch `index` of the stream: batch_size ids, deterministic per index,
+    drawn by the uniform layout in the module docstring."""
     return _batch_with_flags(stream, index)[0]
 
 
@@ -73,16 +74,13 @@ def stream_stats(stream: SampleStream, n_batches: int) -> dict:
     """Empirical mixture report over the first n_batches batches."""
     if n_batches < 1:
         raise ValueError(f"n_batches must be >= 1, got {n_batches}")
-    counts: dict = {}
+    counts = Counter()
     target_draws = 0
-    total = 0
     for i in range(n_batches):
         ids, flags = _batch_with_flags(stream, i)
-        for rid, from_target in zip(ids, flags):
-            counts[rid] = counts.get(rid, 0) + 1
-            total += 1
-            if from_target:
-                target_draws += 1
+        counts.update(ids)
+        target_draws += sum(flags)
+    total = n_batches * stream.batch_size
     return {
         "omega": stream.omega,
         "batches": n_batches,
@@ -91,5 +89,5 @@ def stream_stats(stream: SampleStream, n_batches: int) -> dict:
         "target_draws": target_draws,
         "target_fraction": target_draws / total,
         "cotrain_fraction": (total - target_draws) / total,
-        "draw_counts": counts,
+        "draw_counts": dict(counts),
     }

@@ -268,27 +268,30 @@ def _one_form(args: list, kw: sexpr.Keyword) -> sexpr.Form:
     return args[0]
 
 
+def _at(node, field: str, make, *args):
+    """`make(*args)`, re-raising its SpecRangeError under `field` at `node`'s
+    line/col: the dataclasses hold the range checks, the forms the position."""
+    try:
+        return make(*args)
+    except SpecRangeError as exc:
+        raise SpecRangeError(field, exc.message, node.line, node.col) from None
+
+
 def _parse_goal(form: sexpr.Form) -> PredicateSequence:
     sexpr.head_symbol(form, "sequence")
     prims = []
     for item in form.items[1:]:
         if isinstance(item, sexpr.Symbol):
-            if item.name not in BUILTIN_PRIMITIVES:
-                raise SpecRangeError("goal", f"unknown primitive {item.name!r}", item.line, item.col)
-            prims.append(Primitive(item.name))
+            prims.append(_at(item, "goal", Primitive, item.name))
         elif isinstance(item, sexpr.SList):
             sexpr.head_symbol(item, "custom")
             if len(item.items) != 2:
                 raise SpecSyntaxError("(custom ...) takes exactly one label", item.line, item.col)
             label = sexpr.as_string(item.items[1], "custom label").value
-            if not label:
-                raise SpecRangeError("goal", "empty custom label", item.line, item.col)
-            prims.append(Primitive(label, custom=True))
+            prims.append(_at(item, "goal", Primitive, label, True))
         else:
             raise SpecSyntaxError("expected a primitive symbol or (custom ...)", *sexpr.position(item))
-    if not prims:
-        raise SpecRangeError("goal", "empty primitive sequence", form.line, form.col)
-    return PredicateSequence(tuple(prims))
+    return _at(form, "goal", PredicateSequence, tuple(prims))
 
 
 def _parse_region(form: sexpr.Form, field: str) -> SpatialRegion:
@@ -298,13 +301,8 @@ def _parse_region(form: sexpr.Form, field: str) -> SpatialRegion:
         sexpr.head_symbol(item, "bbox")
         if len(item.items) != 5:
             raise SpecSyntaxError("(bbox ...) takes exactly four numbers", item.line, item.col)
-        x0, y0, x1, y1 = (sexpr.as_number(n, "bbox bound").value for n in item.items[1:])
-        if x1 < x0 or y1 < y0:
-            raise SpecRangeError(field, f"inverted box ({x0}, {y0}, {x1}, {y1})", item.line, item.col)
-        boxes.append((x0, y0, x1, y1))
-    if not boxes:
-        raise SpecRangeError(field, "at least one box required", form.line, form.col)
-    return SpatialRegion(tuple(boxes))
+        boxes.append(tuple(sexpr.as_number(n, "bbox bound").value for n in item.items[1:]))
+    return _at(form, field, SpatialRegion, tuple(boxes))
 
 
 def _pair(args: list, kw: sexpr.Keyword) -> tuple[float, float]:
@@ -318,27 +316,16 @@ def _parse_camera(form: sexpr.Form) -> CameraPoseRange:
     ranges = []
     for item in form.items[1:]:
         head = sexpr.head_symbol(item, "sph")
-        fields: dict[str, tuple[tuple[float, float], sexpr.Keyword]] = {}
+        fields: dict[str, tuple[float, float]] = {}
         for kw, args in sexpr.keyword_fields(item.items[1:], "(sph ...)"):
             if kw.name not in ("r", "theta", "phi"):
                 raise SpecSyntaxError(f"unknown camera field :{kw.name}", kw.line, kw.col)
-            fields[kw.name] = (_pair(args, kw), kw)
+            fields[kw.name] = _pair(args, kw)
         for need in ("r", "theta", "phi"):
             if need not in fields:
                 raise SpecSyntaxError(f"(sph ...) missing :{need}", head.line, head.col)
-        (r0, r1), rkw = fields["r"]
-        (t0, t1), tkw = fields["theta"]
-        (p0, p1), pkw = fields["phi"]
-        if r0 <= 0 or r1 < r0:
-            raise SpecRangeError("camera", f"bad radius range ({r0}, {r1})", rkw.line, rkw.col)
-        if not (0 <= t0 <= t1 <= 90):
-            raise SpecRangeError("camera", f"theta range ({t0}, {t1}) outside [0, 90]", tkw.line, tkw.col)
-        if not (-180 <= p0 <= p1 <= 180):
-            raise SpecRangeError("camera", f"phi range ({p0}, {p1}) outside [-180, 180]", pkw.line, pkw.col)
-        ranges.append((r0, r1, t0, t1, p0, p1))
-    if not ranges:
-        raise SpecRangeError("camera", "at least one spherical range required", form.line, form.col)
-    return CameraPoseRange(tuple(ranges))
+        ranges.append(fields["r"] + fields["theta"] + fields["phi"])
+    return _at(form, "camera", CameraPoseRange, tuple(ranges))
 
 
 def _parse_texture(form: sexpr.Form, field: str) -> TextureSpec:
@@ -347,7 +334,6 @@ def _parse_texture(form: sexpr.Form, field: str) -> TextureSpec:
         raise SpecSyntaxError(f"expected (fractal ...) or (jitter ...), got ({head.name} ...)", head.line, head.col)
     base = None
     bounds: dict[str, tuple[float, float]] = {}
-    positions: dict[str, sexpr.Keyword] = {}
     for kw, args in sexpr.keyword_fields(form.items[1:], f"({head.name} ...)"):
         if kw.name == "base":
             if head.name != "jitter":
@@ -355,27 +341,12 @@ def _parse_texture(form: sexpr.Form, field: str) -> TextureSpec:
             base = _one_string(args, kw)
         elif kw.name in ("h", "s", "v"):
             bounds[kw.name] = _pair(args, kw)
-            positions[kw.name] = kw
         else:
             raise SpecSyntaxError(f"unknown texture field :{kw.name}", kw.line, kw.col)
     for need in ("h", "s", "v"):
         if need not in bounds:
             raise SpecSyntaxError(f"({head.name} ...) missing :{need}", head.line, head.col)
-    if head.name == "jitter" and base is None:
-        raise SpecRangeError(field, "jitter mode requires :base", head.line, head.col)
-    try:
-        return TextureSpec(
-            mode=head.name,
-            h_min=bounds["h"][0],
-            h_max=bounds["h"][1],
-            s_min=bounds["s"][0],
-            s_max=bounds["s"][1],
-            v_min=bounds["v"][0],
-            v_max=bounds["v"][1],
-            base_name=base,
-        )
-    except SpecRangeError as exc:
-        raise SpecRangeError(field, exc.message, head.line, head.col) from None
+    return _at(head, field, TextureSpec, head.name, *bounds["h"], *bounds["s"], *bounds["v"], base)
 
 
 def parse(source: str) -> TaskSpec:

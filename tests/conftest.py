@@ -3,7 +3,10 @@
 The oracles here are written straight from the documented definitions
 (centered truncated moving average, threshold crossings, linear-scan
 retrieval, slab-sweep box unions) so the optimized implementations are
-checked against independent code, not against themselves.
+checked against independent code, not against themselves.  The generation
+oracles at the end (per-pixel value noise, per-element serialization,
+`np.cross` rotations, per-slot sampling) are the code the fast paths
+replaced; the fast paths must reproduce their output bytes exactly.
 """
 
 from __future__ import annotations
@@ -14,8 +17,9 @@ import pathlib
 import numpy as np
 import pytest
 
-from dvcurate import metadata
-from dvcurate.geometry import cartesian_from_spherical
+from dvcurate import metadata, sampler
+from dvcurate.geometry import cartesian_from_spherical, rotmat_to_quat
+from dvcurate.rng import substream
 
 DATA_DIR = pathlib.Path(__file__).parent / "data"
 
@@ -253,3 +257,136 @@ def bin_camera_pos(label, r=0.9, center=(0.0, 0.0, 0.0)):
     azimuths = {"agent-front": 0.0, "agent-left": 60.0, "agent-right": -60.0,
                 "shoulder-left": 120.0, "shoulder-right": -120.0}
     return cartesian_from_spherical(r, 45.0, azimuths[label], center=center)
+
+
+# ---------------------------------------------------------------------------
+# generation oracles: the code the separable noise, `.tolist()` serialization,
+# explicit cross product, broadcast Hamilton product and one-draw sampler
+# replaced, kept as they were apart from the names
+
+def _fade(t):
+    return t * t * (3.0 - 2.0 * t)
+
+
+def pixel_value_noise(gen, width, height, octaves, persistence):
+    """Summed bilinear value noise normalized to [0, 1], blended per pixel."""
+    ys, xs = np.mgrid[0:height, 0:width].astype(float)
+    u_base = xs / width
+    v_base = ys / height
+    total = np.zeros((height, width))
+    amp = 1.0
+    freq = 4.0
+    for _ in range(octaves):
+        lattice = gen.random((int(freq) + 2, int(freq) + 2))
+        u = u_base * freq
+        v = v_base * freq
+        i0 = np.floor(u).astype(int)
+        j0 = np.floor(v).astype(int)
+        fu = _fade(u - i0)
+        fv = _fade(v - j0)
+        n00 = lattice[j0, i0]
+        n01 = lattice[j0, i0 + 1]
+        n10 = lattice[j0 + 1, i0]
+        n11 = lattice[j0 + 1, i0 + 1]
+        total += amp * ((n00 * (1 - fu) + n01 * fu) * (1 - fv) + (n10 * (1 - fu) + n11 * fu) * fv)
+        amp *= persistence
+        freq *= 2.0
+    lo = total.min()
+    span = total.max() - lo
+    if span == 0.0:
+        return np.full((height, width), 0.5)
+    return (total - lo) / span
+
+
+def element_record_to_dict(record):
+    """A record's JSON object, converting each element with float()/int()."""
+    ann = None
+    if record.annotations is not None:
+        a = record.annotations
+        ann = {
+            "target_object": a.target_object,
+            "object_position": list(a.object_position) if a.object_position else None,
+            "object_color": a.object_color,
+            "camera_bin": a.camera_bin,
+        }
+    return {
+        "id": record.id,
+        "lab": record.lab,
+        "instructions": list(record.instructions),
+        "camera_extrinsics": {
+            "pos": [float(v) for v in record.camera_pos],
+            "quat": [float(v) for v in record.camera_quat],
+        },
+        "steps": [
+            {
+                "t": int(record.steps.t[i]),
+                "ee_pos": [float(v) for v in record.steps.ee_pos[i]],
+                "ee_quat": [float(v) for v in record.steps.ee_quat[i]],
+                "gripper": float(record.steps.gripper[i]),
+            }
+            for i in range(len(record.steps))
+        ],
+        "annotations": ann,
+    }
+
+
+def cross_quat_rotate(q, v):
+    w, x, y, z = q
+    u = np.array([x, y, z], dtype=float)
+    v = np.asarray(v, dtype=float)
+    return v + 2.0 * np.cross(u, np.cross(u, v) + w * v)
+
+
+def cross_quat_rotate_many(q, vs):
+    w, x, y, z = q
+    u = np.array([x, y, z], dtype=float)
+    vs = np.asarray(vs, dtype=float)
+    c = np.cross(np.broadcast_to(u, vs.shape), vs) + w * vs
+    return vs + 2.0 * np.cross(np.broadcast_to(u, vs.shape), c)
+
+
+def cross_look_at_quat(eye, target, up=(0.0, 0.0, 1.0)):
+    eye = np.asarray(eye, dtype=float)
+    fwd = np.asarray(target, dtype=float) - eye
+    n = np.linalg.norm(fwd)
+    if n == 0.0:
+        raise ValueError("eye coincides with target")
+    fwd = fwd / n
+    up = np.asarray(up, dtype=float)
+    right = np.cross(up, fwd)
+    rn = np.linalg.norm(right)
+    if rn < 1e-12:
+        right = np.cross(np.array([1.0, 0.0, 0.0]), fwd)
+        rn = np.linalg.norm(right)
+        if rn < 1e-12:
+            right = np.cross(np.array([0.0, 1.0, 0.0]), fwd)
+            rn = np.linalg.norm(right)
+    right = right / rn
+    cam_up = np.cross(fwd, right)
+    return rotmat_to_quat(np.column_stack([right, cam_up, fwd]))
+
+
+def quat_mul_many(q, quats):
+    """Hamilton product q ⊗ quats[i] for an (N, 4) array."""
+    w, x, y, z = q
+    qw, qx, qy, qz = quats[:, 0], quats[:, 1], quats[:, 2], quats[:, 3]
+    return np.stack(
+        [
+            w * qw - x * qx - y * qy - z * qz,
+            w * qx + x * qw + y * qz - z * qy,
+            w * qy - x * qz + y * qw + z * qx,
+            w * qz + x * qy - y * qx + z * qw,
+        ],
+        axis=1,
+    )
+
+
+def slot_batch(stream, index):
+    """Batch `index` with two scalar draws per slot: pool choice, position."""
+    gen = substream(stream.seed, sampler._BATCH_DOMAIN, index)
+    ids = []
+    for _ in range(stream.batch_size):
+        pick_target = gen.random() < stream.omega
+        pool = stream.target_ids if pick_target else stream.cotrain_ids
+        ids.append(pool[int(gen.random() * len(pool))])
+    return ids

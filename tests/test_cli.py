@@ -297,6 +297,45 @@ def test_annotate_with_custom_bin_table(capsys, tmp_path, corpus):
     assert {r.annotations.camera_bin for r in annotated} == {"everywhere"}
 
 
+def _side_file(tmp_path, text):
+    path = tmp_path / "side.json"
+    path.write_text(text)
+    return str(path)
+
+
+@pytest.mark.parametrize(
+    "case,error",
+    [
+        ("table-center", "InputError"),
+        ("bin-table-bad-json", "InputError"),
+        ("bin-table-object", "InputError"),
+        ("annotator-retries", "InputError"),
+        ("anchors-bad-json", "InputError"),
+        ("profile-camera-at-center", "DegeneratePose"),
+    ],
+)
+def test_bad_inputs_exit_1_with_a_report(capsys, tmp_path, monkeypatch, corpus, case, error):
+    out = str(tmp_path / "out.jsonl")
+    argv = {
+        "table-center": lambda: ["annotate", corpus, "--out", out, "--table-center", "a,b"],
+        "bin-table-bad-json": lambda: ["annotate", corpus, "--out", out,
+                                       "--bin-table", _side_file(tmp_path, "[{")],
+        "bin-table-object": lambda: ["annotate", corpus, "--out", out,
+                                     "--bin-table", _side_file(tmp_path, '{"label": "x"}')],
+        "annotator-retries": lambda: ["annotate", corpus, "--out", out, "--http-annotator"],
+        "anchors-bad-json": lambda: ["gen", "synth", "--demos", corpus, "--goal", "pick,place",
+                                     "--anchors", _side_file(tmp_path, "not json"), "--out", out],
+        "profile-camera-at-center": lambda: ["profile", write_jsonl(tmp_path / "c.jsonl", [
+            demo_row(camera_pos=(0.0, 0.0, 0.0), annotations={"camera_bin": "agent-front"})])],
+    }[case]()
+    # the URL is never contacted: the retries setting fails first
+    monkeypatch.setenv(metadata.ANNOTATOR_URL_ENV, "http://127.0.0.1:9/annotate")
+    monkeypatch.setenv(metadata.ANNOTATOR_RETRIES_ENV, "x")
+    code, _, err = run_cli(capsys, *argv)
+    assert code == 1
+    assert json.loads(err)["error"] == error
+
+
 def test_profile_text_json_and_save(capsys, tmp_path, corpus):
     code, out, _ = run_cli(capsys, "profile", corpus)
     assert code == 0

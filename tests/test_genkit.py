@@ -3,13 +3,19 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from dvcurate import genkit
+from dvcurate import genkit, geometry
 from dvcurate.errors import ConfigError, DegenerateAnchor, SegmentationMismatch
 from dvcurate.geometry import quat_conj, quat_mul
 from dvcurate.metadata import Steps
 from dvcurate.taskspec import PredicateSequence, Primitive, TextureSpec
 
-from conftest import make_record
+from conftest import (
+    cross_quat_rotate,
+    cross_quat_rotate_many,
+    make_record,
+    pixel_value_noise,
+    quat_mul_many,
+)
 
 PICK_PLACE = PredicateSequence((Primitive("pick"), Primitive("place")))
 
@@ -344,3 +350,40 @@ def test_synthesize_record_metadata():
     assert bare.id == "synth-0" and bare.lab == "synth"
     assert bare.instructions == ()
     assert np.array_equal(bare.camera_pos, [1.0, 0.0, 1.0])
+
+
+# ---------------------------------------------------------------------------
+# byte identity with the per-pixel noise and the np.cross / per-row synthesis
+
+@pytest.mark.parametrize(
+    "spec,width,height",
+    [
+        (_fractal(), 1, 1),                            # a constant field
+        (_fractal(), 3, 7),
+        (_fractal(), 100, 33),
+        (_fractal(), 256, 256),
+        (_fractal(h_min=0.92, h_max=0.06), 64, 48),   # wrapped hue window
+    ],
+)
+def test_fractal_texture_matches_per_pixel_noise_bytes(monkeypatch, spec, width, height):
+    for seed in (0, 3, 2**40 + 1):
+        fast = genkit.fractal_texture(spec, width, height, seed)
+        monkeypatch.setattr(genkit, "_value_noise", pixel_value_noise)
+        slow = genkit.fractal_texture(spec, width, height, seed)
+        monkeypatch.undo()
+        assert fast.pixels.tobytes() == slow.pixels.tobytes()
+
+
+def test_synthesize_matches_np_cross_bytes(monkeypatch):
+    rng = np.random.default_rng(21)
+    segments = [_random_segment(rng, n=40, primitive=p) for p in ("pick", "place", "close")]
+    anchors = [(rng.uniform(-1, 1, size=3), _random_quat(rng)) for _ in segments]
+    fast = genkit.synthesize(segments, anchors, bridge_step=0.05)
+    monkeypatch.setattr(genkit, "quat_mul", quat_mul_many)
+    monkeypatch.setattr(genkit, "quat_rotate", cross_quat_rotate_many)
+    monkeypatch.setattr(geometry, "quat_mul", lambda a, b: quat_mul_many(a, np.asarray(b)[None])[0])
+    monkeypatch.setattr(geometry, "quat_rotate", cross_quat_rotate)
+    slow = genkit.synthesize(segments, anchors, bridge_step=0.05)
+    assert len(fast.steps) > 120  # the junctions were bridged
+    for field in ("t", "ee_pos", "ee_quat", "gripper"):
+        assert getattr(fast.steps, field).tobytes() == getattr(slow.steps, field).tobytes()

@@ -7,6 +7,8 @@ from hypothesis import strategies as st
 
 from dvcurate import geometry as geo
 
+from conftest import cross_look_at_quat, cross_quat_rotate, cross_quat_rotate_many, quat_mul_many
+
 IDENTITY = np.array([1.0, 0.0, 0.0, 0.0])
 
 
@@ -164,3 +166,43 @@ def test_rotmat_to_quat_near_half_turns(axis):
 
 def test_quat_norm_helper():
     assert geo.quat_norm(np.array([3.0, 0.0, 4.0, 0.0])) == pytest.approx(5.0)
+
+
+# ---------------------------------------------------------------------------
+# byte identity with the np.cross rotations and the per-row Hamilton product
+
+@pytest.mark.parametrize(
+    "eye,target,up",
+    [
+        ((0.6, -0.3, 0.7), (0.0, 0.0, 0.0), (0.0, 0.0, 1.0)),
+        ((0.0, 0.0, 1.5), (0.0, 0.0, 0.0), (0.0, 0.0, 1.0)),   # forward parallel to up
+        ((0.0, 0.0, 0.0), (2.0, 0.0, 0.0), (1.0, 0.0, 0.0)),   # ... and to +x as well
+        ((1e-9, 0.0, 1.0), (0.0, 0.0, 0.0), (0.0, 0.0, 1.0)),
+    ],
+)
+def test_look_at_quat_matches_np_cross_bytes(eye, target, up):
+    assert geo.look_at_quat(eye, target, up).tobytes() == \
+        cross_look_at_quat(eye, target, up).tobytes()
+
+
+def test_rotations_match_np_cross_bytes():
+    rng = np.random.default_rng(11)
+    for n in (1, 2, 150):
+        q = rng.normal(size=4)
+        q /= np.linalg.norm(q)
+        vs = rng.uniform(-2.0, 2.0, size=(n, 3))
+        assert geo.quat_rotate_many(q, vs).tobytes() == cross_quat_rotate_many(q, vs).tobytes()
+        assert geo.quat_rotate(q, vs[0]).tobytes() == cross_quat_rotate(q, vs[0]).tobytes()
+        eye = rng.uniform(-2.0, 2.0, size=3)
+        assert geo.look_at_quat(eye, vs[0]).tobytes() == cross_look_at_quat(eye, vs[0]).tobytes()
+
+
+def test_quat_mul_broadcast_matches_per_row_bytes():
+    rng = np.random.default_rng(12)
+    q = rng.normal(size=4)
+    for n in (1, 3, 150):
+        quats = rng.normal(size=(n, 4))
+        assert geo.quat_mul(q, quats).tobytes() == quat_mul_many(q, quats).tobytes()
+        assert geo.quat_mul(q, quats[0]).tobytes() == quat_mul_many(q, quats[:1])[0].tobytes()
+        assert geo.quat_mul(tuple(q), list(quats[0])).tobytes() == \
+            quat_mul_many(q, quats[:1])[0].tobytes()

@@ -24,6 +24,7 @@ from conftest import (
     brute_smooth,
     brute_transitions,
     demo_row,
+    element_record_to_dict,
     make_record,
     write_jsonl,
 )
@@ -460,6 +461,7 @@ def test_offline_color_table(tmp_path):
 
 class _AnnotatorHandler(BaseHTTPRequestHandler):
     fail_first = 0
+    blank_first = 0  # replies without "color" after the failures
     seen: list = []
 
     def do_POST(self):
@@ -470,7 +472,11 @@ class _AnnotatorHandler(BaseHTTPRequestHandler):
             self.send_response(500)
             self.end_headers()
             return
-        payload = json.dumps({"color": "navy"}).encode()
+        reply = {"color": "navy"}
+        if type(self).blank_first > 0:
+            type(self).blank_first -= 1
+            reply = {}
+        payload = json.dumps(reply).encode()
         self.send_response(200)
         self.send_header("Content-Type", "application/json")
         self.send_header("Content-Length", str(len(payload)))
@@ -485,6 +491,7 @@ class _AnnotatorHandler(BaseHTTPRequestHandler):
 def annotator_server():
     server = HTTPServer(("127.0.0.1", 0), _AnnotatorHandler)
     _AnnotatorHandler.fail_first = 0
+    _AnnotatorHandler.blank_first = 0
     _AnnotatorHandler.seen = []
     thread = threading.Thread(target=server.serve_forever, daemon=True)
     thread.start()
@@ -506,6 +513,16 @@ def test_http_annotator_retries_transient_failures(annotator_server):
     annotator = metadata.HttpColorAnnotator(url=annotator_server, retries=3)
     assert annotator.color_of(make_record(rid="r")) == "navy"
     assert len(_AnnotatorHandler.seen) == 3
+
+
+def test_http_annotator_retries_replies_without_color(annotator_server):
+    _AnnotatorHandler.blank_first = 2
+    annotator = metadata.HttpColorAnnotator(url=annotator_server, retries=3)
+    assert annotator.color_of(make_record(rid="r")) == "navy"
+    assert len(_AnnotatorHandler.seen) == 3
+    _AnnotatorHandler.blank_first = 99
+    with pytest.raises(AnnotatorUnavailable, match="after 3 tries.*lacks 'color'"):
+        annotator.color_of(make_record(rid="r"))
 
 
 def test_http_annotator_exhausts_retries(annotator_server):
@@ -573,3 +590,21 @@ def test_annotate_record_tolerates_annotator_failure():
     out = metadata.annotate_record(rec, annotator=table)
     assert out.annotations.object_color is None
     assert out.annotations.target_object == "mug"
+
+
+def test_write_records_matches_per_element_json(tmp_path):
+    full = {"target_object": "mug", "object_position": [0.2, -0.1, 0.02],
+            "object_color": "red", "camera_bin": "agent-front"}
+    no_position = {"target_object": None, "object_position": None,
+                   "object_color": None, "camera_bin": "unbinned"}
+    records = [
+        make_record(rid="bare", n=150),
+        make_record(rid="full", annotations=full, camera_pos=(0.1 / 3, -2.0 / 7, 0.9)),
+        make_record(rid="no-position", annotations=no_position, n=1, close_at=0),
+        metadata.annotate_record(make_record(rid="annotated", obj_pos=(1 / 3, 0.0, 0.1))),
+    ]
+    path = tmp_path / "out.jsonl"
+    metadata.write_records(path, records)
+    expected = "".join(json.dumps(element_record_to_dict(r), separators=(",", ":")) + "\n"
+                       for r in records)
+    assert path.read_text(encoding="utf-8") == expected

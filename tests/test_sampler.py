@@ -11,6 +11,8 @@ from dvcurate.errors import EmptyPoolSelected
 from dvcurate.rng import substream
 from dvcurate.sampler import SampleStream
 
+from conftest import slot_batch
+
 TARGET = ("t0", "t1", "t2")
 COTRAIN = ("c0", "c1", "c2", "c3", "c4")
 
@@ -141,3 +143,21 @@ def test_flags_report_pool_of_origin():
 def test_within_pool_draws_cover_both_pools():
     stats = sampler.stream_stats(_stream(batch_size=64), n_batches=50)
     assert set(stats["draw_counts"]) == set(TARGET) | set(COTRAIN)
+
+
+# ---------------------------------------------------------------------------
+# the one-draw batch against two scalar draws per slot
+
+@pytest.mark.parametrize("omega", [0.0, 0.5, 1.0])
+@pytest.mark.parametrize("batch_size", [1, 2, 33, 256])
+def test_one_draw_batch_matches_per_slot_draws(omega, batch_size):
+    s = SampleStream(TARGET, COTRAIN, omega=omega, seed=1234, batch_size=batch_size)
+    counts = {}
+    for index in range(12):
+        expected = slot_batch(s, index)
+        assert sampler.batch(s, index) == expected
+        for rid in expected:
+            counts[rid] = counts.get(rid, 0) + 1
+    stats = sampler.stream_stats(s, 12)
+    assert stats["draw_counts"] == counts
+    assert stats["target_draws"] == sum(n for rid, n in counts.items() if rid in TARGET)
