@@ -14,12 +14,13 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 
 import numpy as np
 
 from . import dvalgebra, genkit, metadata, retrieval, sampler, taskspec
-from .errors import DVCurateError, InputError
+from .errors import DVCurateError, EmptyDataset, InputError
 
 
 def _print_json(obj, stream=None) -> None:
@@ -102,6 +103,8 @@ def _cmd_gen_texture(args) -> int:
 
 def _cmd_gen_synth(args) -> int:
     records = metadata.ingest(args.demos)
+    if not records:
+        raise EmptyDataset(f"no records in {args.demos}")
     by_id = {r.id: r for r in records}
     if args.id is not None:
         if args.id not in by_id:
@@ -115,8 +118,10 @@ def _cmd_gen_synth(args) -> int:
             for p in args.goal.split(",")
         )
         goal = taskspec.PredicateSequence(prims)
-    else:
+    elif args.spec:
         goal = taskspec.parse_file(args.spec).goal
+    else:
+        raise InputError("gen synth needs a goal: pass --goal or --spec")
     anchors = _read_anchors(args.anchors)
     segments = genkit.decompose(source, goal)
     synth = genkit.synthesize(segments, anchors, args.bridge_step, like=source, new_id=args.new_id)
@@ -263,6 +268,7 @@ def _checked(convert, ok, what: str):
 
 
 _POSITIVE_INT = _checked(int, lambda v: v >= 1, ">= 1")
+_POSITIVE_FLOAT = _checked(float, lambda v: math.isfinite(v) and v > 0, "finite and > 0")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -292,8 +298,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_tex = gen_sub.add_parser("texture", help="render a fractal texture raster")
     p_tex.add_argument("file", help="task-spec file supplying the texture range")
     p_tex.add_argument("--seed", type=int, required=True)
-    p_tex.add_argument("--width", type=int, default=64)
-    p_tex.add_argument("--height", type=int, default=64)
+    p_tex.add_argument("--width", type=_POSITIVE_INT, default=64)
+    p_tex.add_argument("--height", type=_POSITIVE_INT, default=64)
     p_tex.add_argument("--which", choices=("object", "table"), default="object")
     p_tex.add_argument("--out", required=True)
     p_tex.add_argument("--ppm")
@@ -304,7 +310,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_syn.add_argument("--spec", help="task-spec file supplying the goal sequence")
     p_syn.add_argument("--goal", help="comma-separated primitive labels (overrides --spec)")
     p_syn.add_argument("--anchors", required=True, help="JSON list of {pos, quat} poses")
-    p_syn.add_argument("--bridge-step", type=float, default=0.05)
+    p_syn.add_argument("--bridge-step", type=_POSITIVE_FLOAT, default=0.05)
     p_syn.add_argument("--new-id", default="synth-0")
     p_syn.add_argument("--out", required=True)
     p_syn.set_defaults(func=_cmd_gen_synth)
@@ -325,8 +331,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_prof = sub.add_parser("profile", help="measure per-DV supports of a corpus")
     p_prof.add_argument("file")
-    p_prof.add_argument("--cell", type=float, default=dvalgebra.DILATION_CELL_DEFAULT)
-    p_prof.add_argument("--angular-cell", type=float, default=dvalgebra.ANGULAR_CELL_DEFAULT)
+    p_prof.add_argument("--cell", type=_POSITIVE_FLOAT, default=dvalgebra.DILATION_CELL_DEFAULT)
+    p_prof.add_argument("--angular-cell", type=_POSITIVE_FLOAT, default=dvalgebra.ANGULAR_CELL_DEFAULT)
     p_prof.add_argument("--table-center", default="0,0,0")
     p_prof.add_argument("--out", help="write machine-readable profile JSON here")
     p_prof.add_argument("--format", choices=("text", "json"), default="text")
@@ -338,7 +344,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_cls.add_argument("--dv", required=True, choices=dvalgebra.DV_NAMES)
     p_cls.add_argument("--rho", type=_checked(float, lambda v: v > 1.0, "> 1"),
                        default=dvalgebra.RHO_DEFAULT)
-    p_cls.add_argument("--cell", type=float, default=dvalgebra.DILATION_CELL_DEFAULT)
+    p_cls.add_argument("--cell", type=_POSITIVE_FLOAT, default=dvalgebra.DILATION_CELL_DEFAULT)
     p_cls.add_argument("--table-center", default="0,0,0")
     p_cls.add_argument("--format", choices=("text", "json"), default="text")
     p_cls.set_defaults(func=_cmd_classify)
@@ -379,8 +385,9 @@ def run(argv=None) -> int:
     except DVCurateError as exc:
         _print_json(exc.report(), stream=sys.stderr)
         return 1
-    except FileNotFoundError as exc:
-        _print_json({"error": "FileNotFound", "message": str(exc)}, stream=sys.stderr)
+    except (OSError, UnicodeDecodeError) as exc:  # a path that cannot be opened, read or written
+        name = type(exc).__name__.removesuffix("Error")  # FileNotFound, IsADirectory, ...
+        _print_json({"error": name, "message": str(exc)}, stream=sys.stderr)
         return 1
 
 

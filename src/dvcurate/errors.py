@@ -60,7 +60,7 @@ class ZeroTargetSupport(DVCurateError):
 
 
 class EmptyDataset(DVCurateError):
-    """Profile requested over zero records."""
+    """A profile or synthesis was requested over zero records."""
 
 
 class DVNotMeasured(DVCurateError):

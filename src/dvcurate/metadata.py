@@ -492,8 +492,18 @@ class OfflineColorTable:
 
     @classmethod
     def from_json(cls, path):
+        """Read a JSON object mapping record ids to color label strings."""
         with open(path, encoding="utf-8") as fh:
-            return cls(json.load(fh))
+            try:
+                table = json.load(fh)
+            except ValueError as exc:
+                raise InputError(f"bad color table {path}: {exc!r}") from None
+        if not isinstance(table, dict):
+            raise InputError(f"bad color table {path}: expected an object, got {type(table).__name__}")
+        bad = next((rid for rid, label in table.items() if not isinstance(label, str)), None)
+        if bad is not None:
+            raise InputError(f"bad color table {path}: label of {bad!r} is not a string")
+        return cls(table)
 
     def color_of(self, record: DemoRecord) -> str:
         label = self.table.get(record.id)

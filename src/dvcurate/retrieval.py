@@ -8,6 +8,11 @@ and motion-primitive labels.  A DemoIndex answers the label filters via hash
 indexes and the two position filters via one vectorized scan over per-axis
 position columns; results always equal a linear scan and come back in record
 insertion order.
+
+The index keeps record ids in a read-only object array, so the ids of a
+query's hits are gathered by one boolean take of that array and one
+`.tolist()`, with no Python work per hit.  Query texts go through the shared
+`sexpr` reader on every call; nothing is cached.
 """
 
 from __future__ import annotations
@@ -147,12 +152,14 @@ def parse_query_file(path) -> list[RetrievalQuery]:
 class DemoIndex:
     """Immutable retrieval index over annotated records.
 
+    `ids` is a read-only 1-D object array of record ids in insertion order,
+    so a boolean mask over the records takes the hit ids in one pass.
     `camera_pos` and `object_pos` are (3, n) per-axis position columns;
     `object_pos` is NaN where a record has no object position, so no box
     contains it.
     """
 
-    ids: list
+    ids: np.ndarray
     camera_pos: np.ndarray
     object_pos: np.ndarray
     by_object: dict
@@ -218,8 +225,10 @@ def build_index(records, lexicon=None) -> DemoIndex:
         else:
             missing["motion"].append(rec.id)
 
+    id_array = np.array(ids, dtype=object)
+    id_array.flags.writeable = False
     return DemoIndex(
-        ids=ids,
+        ids=id_array,
         camera_pos=_columns(cam_rows),
         object_pos=_columns(obj_rows),
         by_object={k: np.asarray(v, dtype=np.int64) for k, v in by_object.items()},
@@ -285,7 +294,7 @@ def retrieve(index: DemoIndex, query: RetrievalQuery) -> list[str]:
     combined = masks[0][1]
     for _, m in masks[1:]:
         combined = combined & m
-    return [index.ids[i] for i in np.flatnonzero(combined)]
+    return index.ids[combined].tolist()
 
 
 def retrieval_report(index: DemoIndex, query: RetrievalQuery) -> dict:

@@ -4,6 +4,13 @@ Forms are parenthesized lists of atoms.  Atoms are symbols (`pick`), keywords
 (`:name`), double-quoted strings, and decimal numbers.  Comments run from `;`
 to end of line.  Every atom and list remembers its 1-based line and column so
 parse errors can point at source positions.
+
+The reader takes one match of a single compiled pattern per token: the match
+skips blanks and comments, and its named group gives the token's kind.  A
+position is derived from newline offsets, so only '\n' breaks a line: line is
+1 + the number of '\n' before the token, column is the token's offset minus
+that of the last '\n' before it.  Only text that matches no token takes the
+slower path that works out which error it is.
 """
 
 from __future__ import annotations
@@ -13,8 +20,27 @@ from dataclasses import dataclass, field
 
 from .errors import SpecSyntaxError
 
-_NUMBER_RE = re.compile(r"[+-]?(\d+\.?\d*|\.\d+)([eE][+-]?\d+)?")
-_SYMBOL_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_\-]*")
+_NUMBER = r"[+-]?(?:\d+\.?\d*|\.\d+)(?:[eE][+-]?\d+)?"
+_SYMBOL = r"[A-Za-z_][A-Za-z0-9_\-]*"
+_NUMBER_RE = re.compile(_NUMBER)
+# `bad` matches any character, so after the run of blanks and comments some
+# alternative always matches and the run is never given back.  A number must
+# end at a blank, a paren, ';' or the end; no shorter prefix of it does, so a
+# malformed number falls through to `bad` as a whole.
+_TOKEN_RE = re.compile(
+    rf"""(?:\s|;[^\n]*)*
+    (?:(?P<open>\()
+      |(?P<close>\))
+      |(?P<str>"[^"\\]*(?:\\.[^"\\]*)*")
+      |(?P<kw>:{_SYMBOL})
+      |(?P<num>{_NUMBER})(?=[\s();]|\Z)
+      |(?P<sym>{_SYMBOL})
+      |(?P<end>\Z)
+      |(?P<bad>.))""",
+    re.VERBOSE | re.DOTALL,
+)
+_ESCAPE_RE = re.compile(r"\\(.?)", re.DOTALL)
+_ESCAPES = {'"': '"', "\\": "\\", "n": "\n", "t": "\t"}
 
 
 @dataclass(frozen=True)
@@ -55,136 +81,106 @@ class SList:
 Form = Symbol | Keyword | String | Number | SList
 
 
-class _Scanner:
-    def __init__(self, source: str):
-        self.src = source
-        self.pos = 0
-        self.line = 1
-        self.col = 1
-
-    def peek(self) -> str:
-        return self.src[self.pos] if self.pos < len(self.src) else ""
-
-    def advance(self, n: int = 1) -> None:
-        for _ in range(n):
-            if self.pos >= len(self.src):
-                return
-            if self.src[self.pos] == "\n":
-                self.line += 1
-                self.col = 1
-            else:
-                self.col += 1
-            self.pos += 1
-
-    def skip_blank(self) -> None:
-        while self.pos < len(self.src):
-            c = self.src[self.pos]
-            if c == ";":
-                while self.pos < len(self.src) and self.src[self.pos] != "\n":
-                    self.advance()
-            elif c.isspace():
-                self.advance()
-            else:
-                return
+def _line_col(source: str, pos: int) -> tuple[int, int]:
+    """1-based line and column of offset `pos`, counting only '\n' as a line break."""
+    return source.count("\n", 0, pos) + 1, pos - source.rfind("\n", 0, pos)
 
 
-def _read_string(sc: _Scanner) -> String:
-    line, col = sc.line, sc.col
-    sc.advance()  # opening quote
+def _unescape(source: str, start: int, end: int) -> str:
+    """The string body `source[start:end]` with its escapes decoded."""
     out = []
-    while True:
-        c = sc.peek()
-        if c == "":
-            raise SpecSyntaxError("unterminated string", line, col)
-        if c == '"':
-            sc.advance()
-            return String("".join(out), line, col)
-        if c == "\\":
-            sc.advance()
-            esc = sc.peek()
-            if esc == "":
-                raise SpecSyntaxError("unterminated string escape", sc.line, sc.col)
-            if esc not in ('"', "\\", "n", "t"):
-                raise SpecSyntaxError(f"unknown string escape '\\{esc}'", sc.line, sc.col)
-            out.append({"n": "\n", "t": "\t"}.get(esc, esc))
-            sc.advance()
-        else:
-            out.append(c)
-            sc.advance()
+    last = start
+    for m in _ESCAPE_RE.finditer(source, start, end):
+        esc = m.group(1)
+        if not esc:
+            raise SpecSyntaxError("unterminated string escape", *_line_col(source, m.end()))
+        if esc not in _ESCAPES:
+            raise SpecSyntaxError(f"unknown string escape '\\{esc}'", *_line_col(source, m.start(1)))
+        out.append(source[last:m.start()])
+        out.append(_ESCAPES[esc])
+        last = m.end()
+    out.append(source[last:end])
+    return "".join(out)
 
 
-def _read_atom(sc: _Scanner) -> Form:
-    line, col = sc.line, sc.col
-    c = sc.peek()
+def _token_error(source: str, pos: int) -> SpecSyntaxError:
+    """The error for the text at `pos`, where no token matched."""
+    line, col = _line_col(source, pos)
+    c = source[pos]
     if c == '"':
-        return _read_string(sc)
+        _unescape(source, pos + 1, len(source))  # raises on a bad or dangling escape
+        return SpecSyntaxError("unterminated string", line, col)
     if c == ":":
-        sc.advance()
-        m = _SYMBOL_RE.match(sc.src, sc.pos)
-        if not m or m.start() != sc.pos:
-            raise SpecSyntaxError("expected keyword name after ':'", line, col)
-        sc.advance(m.end() - sc.pos)
-        return Keyword(m.group(0), line, col)
-    if c.isdigit() or c in "+-." :
-        m = _NUMBER_RE.match(sc.src, sc.pos)
-        if not m or m.start() != sc.pos:
-            raise SpecSyntaxError(f"malformed number starting at {c!r}", line, col)
-        end = m.end()
-        if end < len(sc.src) and not sc.src[end].isspace() and sc.src[end] not in "();":
-            raise SpecSyntaxError(f"malformed number {sc.src[sc.pos:end + 1]!r}", line, col)
-        sc.advance(end - sc.pos)
-        return Number(float(m.group(0)), line, col)
-    m = _SYMBOL_RE.match(sc.src, sc.pos)
-    if not m or m.start() != sc.pos:
-        raise SpecSyntaxError(f"unexpected character {c!r}", line, col)
-    sc.advance(m.end() - sc.pos)
-    return Symbol(m.group(0), line, col)
+        return SpecSyntaxError("expected keyword name after ':'", line, col)
+    if c.isdigit() or c in "+-.":
+        m = _NUMBER_RE.match(source, pos)
+        if not m:
+            return SpecSyntaxError(f"malformed number starting at {c!r}", line, col)
+        return SpecSyntaxError(f"malformed number {source[pos:m.end() + 1]!r}", line, col)
+    return SpecSyntaxError(f"unexpected character {c!r}", line, col)
 
 
-def _read_form(sc: _Scanner) -> Form:
-    sc.skip_blank()
-    c = sc.peek()
-    if c == "":
-        raise SpecSyntaxError("unexpected end of input", sc.line, sc.col)
-    if c == "(":
-        lst = SList([], sc.line, sc.col)
-        sc.advance()
-        while True:
-            sc.skip_blank()
-            nxt = sc.peek()
-            if nxt == "":
-                raise SpecSyntaxError("unbalanced '(': missing ')'", lst.line, lst.col)
-            if nxt == ")":
-                sc.advance()
-                return lst
-            lst.items.append(_read_form(sc))
-    if c == ")":
-        raise SpecSyntaxError("unbalanced ')'", sc.line, sc.col)
-    return _read_atom(sc)
+def _read(source: str, single: bool) -> list[Form]:
+    """Top-level forms of `source`; with `single`, exactly one.
+
+    One `_TOKEN_RE` match per token; lists are built on an explicit stack, and
+    the '\n' between tokens are counted once each to track line and column.
+    """
+    match = _TOKEN_RE.match
+    count = source.count
+    forms: list = []
+    stack: list[SList] = []
+    items = forms
+    pos = 0
+    line, line_start, counted = 1, -1, 0  # '\n' before `counted` are in `line`
+    while True:
+        m = match(source, pos)
+        kind = m.lastgroup
+        start, pos = m.span(kind)
+        breaks = count("\n", counted, start)
+        if breaks:
+            line += breaks
+            line_start = source.rfind("\n", counted, start)
+        counted = start
+        col = start - line_start
+        if kind == "end":
+            if stack:
+                raise SpecSyntaxError("unbalanced '(': missing ')'", stack[-1].line, stack[-1].col)
+            if single and not forms:
+                raise SpecSyntaxError("empty input", 1, 1)
+            return forms
+        if single and forms and not stack:
+            raise SpecSyntaxError("unexpected trailing input", line, col)
+        if kind == "sym":
+            items.append(Symbol(m.group(kind), line, col))
+        elif kind == "num":
+            items.append(Number(float(m.group(kind)), line, col))
+        elif kind == "kw":
+            items.append(Keyword(source[start + 1:pos], line, col))
+        elif kind == "open":
+            lst = SList([], line, col)
+            items.append(lst)
+            stack.append(lst)
+            items = lst.items
+        elif kind == "close":
+            if not stack:
+                raise SpecSyntaxError("unbalanced ')'", line, col)
+            stack.pop()
+            items = stack[-1].items if stack else forms
+        elif kind == "str":
+            items.append(String(_unescape(source, start + 1, pos - 1), line, col))
+        else:
+            raise _token_error(source, start)
 
 
 def read_all(source: str) -> list[Form]:
     """Read every top-level form in `source`."""
-    sc = _Scanner(source)
-    forms = []
-    while True:
-        sc.skip_blank()
-        if sc.peek() == "":
-            return forms
-        forms.append(_read_form(sc))
+    return _read(source, single=False)
 
 
 def read_one(source: str) -> Form:
     """Read exactly one top-level form; empty or trailing input is an error."""
-    sc = _Scanner(source)
-    sc.skip_blank()
-    if sc.peek() == "":
-        raise SpecSyntaxError("empty input", 1, 1)
-    form = _read_form(sc)
-    sc.skip_blank()
-    if sc.peek() != "":
-        raise SpecSyntaxError("unexpected trailing input", sc.line, sc.col)
-    return form
+    return _read(source, single=True)[0]
 
 
 def position(form: Form) -> tuple[int, int]:

@@ -4,22 +4,26 @@ The oracles here are written straight from the documented definitions
 (centered truncated moving average, threshold crossings, linear-scan
 retrieval, slab-sweep box unions) so the optimized implementations are
 checked against independent code, not against themselves.  The generation
-oracles at the end (per-pixel value noise, per-element serialization,
-`np.cross` rotations, per-slot sampling) are the code the fast paths
-replaced; the fast paths must reproduce their output bytes exactly.
+oracles (per-pixel value noise, per-element serialization, `np.cross`
+rotations, per-slot sampling) and the character-at-a-time s-expression
+scanner at the end are the code the fast paths replaced; the fast paths must
+reproduce their output bytes, forms, positions and errors exactly.
 """
 
 from __future__ import annotations
 
 import json
 import pathlib
+import re
 
 import numpy as np
 import pytest
 
 from dvcurate import metadata, sampler
+from dvcurate.errors import SpecSyntaxError
 from dvcurate.geometry import cartesian_from_spherical, rotmat_to_quat
 from dvcurate.rng import substream
+from dvcurate.sexpr import Form, Keyword, Number, SList, String, Symbol
 
 DATA_DIR = pathlib.Path(__file__).parent / "data"
 
@@ -390,3 +394,144 @@ def slot_batch(stream, index):
         pool = stream.target_ids if pick_target else stream.cotrain_ids
         ids.append(pool[int(gen.random() * len(pool))])
     return ids
+
+
+# ---------------------------------------------------------------------------
+# s-expression reader oracle: the character-at-a-time scanner that the
+# one-pattern tokenizer in `sexpr` replaced, kept as it was apart from the
+# names of the two entry points
+
+_NUMBER_RE = re.compile(r"[+-]?(\d+\.?\d*|\.\d+)([eE][+-]?\d+)?")
+_SYMBOL_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_\-]*")
+
+
+class _Scanner:
+    def __init__(self, source: str):
+        self.src = source
+        self.pos = 0
+        self.line = 1
+        self.col = 1
+
+    def peek(self) -> str:
+        return self.src[self.pos] if self.pos < len(self.src) else ""
+
+    def advance(self, n: int = 1) -> None:
+        for _ in range(n):
+            if self.pos >= len(self.src):
+                return
+            if self.src[self.pos] == "\n":
+                self.line += 1
+                self.col = 1
+            else:
+                self.col += 1
+            self.pos += 1
+
+    def skip_blank(self) -> None:
+        while self.pos < len(self.src):
+            c = self.src[self.pos]
+            if c == ";":
+                while self.pos < len(self.src) and self.src[self.pos] != "\n":
+                    self.advance()
+            elif c.isspace():
+                self.advance()
+            else:
+                return
+
+
+def _read_string(sc: _Scanner) -> String:
+    line, col = sc.line, sc.col
+    sc.advance()  # opening quote
+    out = []
+    while True:
+        c = sc.peek()
+        if c == "":
+            raise SpecSyntaxError("unterminated string", line, col)
+        if c == '"':
+            sc.advance()
+            return String("".join(out), line, col)
+        if c == "\\":
+            sc.advance()
+            esc = sc.peek()
+            if esc == "":
+                raise SpecSyntaxError("unterminated string escape", sc.line, sc.col)
+            if esc not in ('"', "\\", "n", "t"):
+                raise SpecSyntaxError(f"unknown string escape '\\{esc}'", sc.line, sc.col)
+            out.append({"n": "\n", "t": "\t"}.get(esc, esc))
+            sc.advance()
+        else:
+            out.append(c)
+            sc.advance()
+
+
+def _read_atom(sc: _Scanner) -> Form:
+    line, col = sc.line, sc.col
+    c = sc.peek()
+    if c == '"':
+        return _read_string(sc)
+    if c == ":":
+        sc.advance()
+        m = _SYMBOL_RE.match(sc.src, sc.pos)
+        if not m or m.start() != sc.pos:
+            raise SpecSyntaxError("expected keyword name after ':'", line, col)
+        sc.advance(m.end() - sc.pos)
+        return Keyword(m.group(0), line, col)
+    if c.isdigit() or c in "+-." :
+        m = _NUMBER_RE.match(sc.src, sc.pos)
+        if not m or m.start() != sc.pos:
+            raise SpecSyntaxError(f"malformed number starting at {c!r}", line, col)
+        end = m.end()
+        if end < len(sc.src) and not sc.src[end].isspace() and sc.src[end] not in "();":
+            raise SpecSyntaxError(f"malformed number {sc.src[sc.pos:end + 1]!r}", line, col)
+        sc.advance(end - sc.pos)
+        return Number(float(m.group(0)), line, col)
+    m = _SYMBOL_RE.match(sc.src, sc.pos)
+    if not m or m.start() != sc.pos:
+        raise SpecSyntaxError(f"unexpected character {c!r}", line, col)
+    sc.advance(m.end() - sc.pos)
+    return Symbol(m.group(0), line, col)
+
+
+def _read_form(sc: _Scanner) -> Form:
+    sc.skip_blank()
+    c = sc.peek()
+    if c == "":
+        raise SpecSyntaxError("unexpected end of input", sc.line, sc.col)
+    if c == "(":
+        lst = SList([], sc.line, sc.col)
+        sc.advance()
+        while True:
+            sc.skip_blank()
+            nxt = sc.peek()
+            if nxt == "":
+                raise SpecSyntaxError("unbalanced '(': missing ')'", lst.line, lst.col)
+            if nxt == ")":
+                sc.advance()
+                return lst
+            lst.items.append(_read_form(sc))
+    if c == ")":
+        raise SpecSyntaxError("unbalanced ')'", sc.line, sc.col)
+    return _read_atom(sc)
+
+
+def scanner_read_all(source: str) -> list[Form]:
+    """Read every top-level form in `source`."""
+    sc = _Scanner(source)
+    forms = []
+    while True:
+        sc.skip_blank()
+        if sc.peek() == "":
+            return forms
+        forms.append(_read_form(sc))
+
+
+def scanner_read_one(source: str) -> Form:
+    """Read exactly one top-level form; empty or trailing input is an error."""
+    sc = _Scanner(source)
+    sc.skip_blank()
+    if sc.peek() == "":
+        raise SpecSyntaxError("empty input", 1, 1)
+    form = _read_form(sc)
+    sc.skip_blank()
+    if sc.peek() != "":
+        raise SpecSyntaxError("unexpected trailing input", sc.line, sc.col)
+    return form

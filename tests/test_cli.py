@@ -1,11 +1,17 @@
 from __future__ import annotations
 
+import io
 import json
+import os
 import subprocess
 import sys
+from contextlib import redirect_stderr, redirect_stdout
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from dvcurate import cli, dvalgebra, genkit, metadata, taskspec
 
@@ -43,6 +49,21 @@ def test_usage_errors_exit_2(capsys):
     assert run_cli(capsys, "no-such-command")[0] == 2
     assert run_cli(capsys, "retrieve", "--corpus", "x.jsonl")[0] == 2
     assert run_cli(capsys, "sample-batches", "--target", "t", "--cotrain", "c")[0] == 2
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["profile", "c.jsonl", "--cell", "nan"],
+        ["profile", "c.jsonl", "--angular-cell", "-1"],
+        ["classify", "--target", "t", "--cotrain", "c", "--dv", "objSpat", "--cell", "inf"],
+        ["gen", "texture", "s.mlspec", "--seed", "1", "--out", "o", "--height", "0"],
+        ["gen", "synth", "--demos", "d", "--anchors", "a", "--out", "o", "--bridge-step", "0"],
+    ],
+)
+def test_out_of_range_values_are_usage_errors(capsys, argv):
+    code, _, err = run_cli(capsys, *argv)
+    assert code == 2 and "must be" in err
 
 
 def test_missing_file_exits_1_with_report(capsys, tmp_path):
@@ -297,9 +318,12 @@ def test_annotate_with_custom_bin_table(capsys, tmp_path, corpus):
     assert {r.annotations.camera_bin for r in annotated} == {"everywhere"}
 
 
-def _side_file(tmp_path, text):
+def _side_file(tmp_path, data):
     path = tmp_path / "side.json"
-    path.write_text(text)
+    if isinstance(data, bytes):
+        path.write_bytes(data)
+    else:
+        path.write_text(data)
     return str(path)
 
 
@@ -312,10 +336,24 @@ def _side_file(tmp_path, text):
         ("annotator-retries", "InputError"),
         ("anchors-bad-json", "InputError"),
         ("profile-camera-at-center", "DegeneratePose"),
+        ("color-table-bad-json", "InputError"),
+        ("color-table-list", "InputError"),
+        ("color-table-number-label", "InputError"),
+        ("ingest-directory", "IsADirectory"),
+        ("retrieve-query-directory", "IsADirectory"),
+        ("spec-not-utf8", "UnicodeDecode"),
+        ("synth-without-goal", "InputError"),
+        ("synth-empty-corpus", "EmptyDataset"),
     ],
 )
 def test_bad_inputs_exit_1_with_a_report(capsys, tmp_path, monkeypatch, corpus, case, error):
     out = str(tmp_path / "out.jsonl")
+
+    def anchors():
+        path = tmp_path / "anchors.json"
+        path.write_text(json.dumps([{"pos": [0.1, 0.0, 0.0], "quat": [1, 0, 0, 0]}] * 2))
+        return str(path)
+
     argv = {
         "table-center": lambda: ["annotate", corpus, "--out", out, "--table-center", "a,b"],
         "bin-table-bad-json": lambda: ["annotate", corpus, "--out", out,
@@ -327,6 +365,19 @@ def test_bad_inputs_exit_1_with_a_report(capsys, tmp_path, monkeypatch, corpus, 
                                      "--anchors", _side_file(tmp_path, "not json"), "--out", out],
         "profile-camera-at-center": lambda: ["profile", write_jsonl(tmp_path / "c.jsonl", [
             demo_row(camera_pos=(0.0, 0.0, 0.0), annotations={"camera_bin": "agent-front"})])],
+        "color-table-bad-json": lambda: ["annotate", corpus, "--out", out,
+                                         "--color-table", _side_file(tmp_path, "{bad")],
+        "color-table-list": lambda: ["annotate", corpus, "--out", out,
+                                     "--color-table", _side_file(tmp_path, "[1,2]")],
+        "color-table-number-label": lambda: ["annotate", corpus, "--out", out,
+                                             "--color-table", _side_file(tmp_path, '{"r0": 5}')],
+        "ingest-directory": lambda: ["ingest", str(tmp_path)],
+        "retrieve-query-directory": lambda: ["retrieve", "--corpus", corpus, "--query", str(tmp_path)],
+        "spec-not-utf8": lambda: ["spec", "validate", _side_file(tmp_path, b"(task :name \xff)")],
+        "synth-without-goal": lambda: ["gen", "synth", "--demos", corpus, "--anchors", anchors(),
+                                       "--out", out],
+        "synth-empty-corpus": lambda: ["gen", "synth", "--demos", _side_file(tmp_path, ""),
+                                       "--goal", "pick,place", "--anchors", anchors(), "--out", out],
     }[case]()
     # the URL is never contacted: the retries setting fails first
     monkeypatch.setenv(metadata.ANNOTATOR_URL_ENV, "http://127.0.0.1:9/annotate")
@@ -516,3 +567,167 @@ def test_installed_entry_point_runs():
                           capture_output=True, text=True)
     assert proc.returncode == 0
     assert "total base=329 crossed=3600" in proc.stdout
+
+
+# ---------------------------------------------------------------------------
+# contract fuzz: argv drawn from every subcommand and flag, over valid and
+# corrupted side files, exits 0, 1 or 2, never with a traceback, and every
+# exit 1 carries a JSON report on stderr
+
+_SMALL = ("-1", "0", "1", "3", "x")
+_FLOATS = ("-1", "0", "0.05", "1.5", "nan", "inf", "x")
+_SEEDS = ("0", "7", "-3", "x")
+_CENTERS = ("0,0,0", "0.1,0.2,0.3", "a,b", "1,2", "nan,0,0")
+_FORMATS = ("text", "json", "yaml")
+_OUTPUTS = ("out", "out-in-missing-dir", "dir")  # written to, so never drawn as an input
+
+
+@pytest.fixture(scope="module")
+def fuzz_files(tmp_path_factory):
+    d = tmp_path_factory.mktemp("fuzz")
+    (d / "subdir").mkdir()
+
+    def put(name, data):
+        path = d / name
+        if isinstance(data, bytes):
+            path.write_bytes(data)
+        else:
+            path.write_text(data)
+        return str(path)
+
+    rows = [
+        demo_row(rid="d0", obj_pos=(0.2, 0.0, 0.02),
+                 annotations={"target_object": "mug", "object_position": [0.2, 0.0, 0.02],
+                              "object_color": "red", "camera_bin": "agent-front"}),
+        demo_row(rid="d1", instructions=("put the pen in the cup",), obj_pos=(0.1, 0.1, 0.02)),
+        demo_row(rid="d2", lab="lab2", instructions=("push the plate left",),
+                 camera_pos=(0.0, 0.0, 0.0)),
+    ]
+    good = write_jsonl(d / "good.jsonl", rows)
+    lines = open(good, encoding="utf-8").read().splitlines()
+    nan_row = json.loads(lines[0])
+    nan_row["camera_extrinsics"]["pos"][0] = float("nan")
+    return {
+        "good": good,
+        "truncated": put("truncated.jsonl", lines[0] + "\n" + lines[1][:60] + "\n"),
+        "duplicate": put("duplicate.jsonl", lines[0] + "\n" + lines[0] + "\n"),
+        "wrong-types": put("wrong-types.jsonl", json.dumps({"id": 3, "steps": "x"}) + "\n"),
+        "nan": put("nan.jsonl", json.dumps(nan_row) + "\n"),
+        "not-utf8": put("not-utf8.jsonl", b"\xff\xfe{}\n"),
+        "empty": put("empty.txt", ""),
+        "dir": str(d),
+        "subdir": str(d / "subdir"),
+        "missing": str(d / "missing.jsonl"),
+        "colors": put("colors.json", json.dumps({"d0": "scarlet", "d1": "navy", "d2": "olive"})),
+        "colors-bad-json": put("colors-bad.json", "{bad"),
+        "colors-list": put("colors-list.json", "[1,2]"),
+        "colors-number": put("colors-number.json", '{"d0": 5}'),
+        "colors-unknown": put("colors-unknown.json", '{"d0": "grass green"}'),
+        "queries": put("queries.sexp", '(query :object (include "mug"))\n'
+                                       "(query :campose (:pos 0.64 0 0.64) :motion pick)\n"),
+        "queries-bad": put("queries-bad.sexp", "(query :nope 1)"),
+        "queries-open": put("queries-open.sexp", "(query :color"),
+        "spec": BIN_CARROT,
+        "spec-hue": WRAPPED_HUE,
+        "spec-bad": MALFORMED,
+        "ids": put("ids.txt", "d0\nd1\n"),
+        "anchors": put("anchors.json", json.dumps([{"pos": [0.1, 0.0, 0.0], "quat": [1, 0, 0, 0]},
+                                                   {"pos": [0.3, 0.2, 0.0], "quat": [1, 0, 0, 0]}])),
+        "anchors-bad": put("anchors-bad.json", '[{"pos": [1]}]'),
+        "bins": put("bins.json", json.dumps([{"label": "all", "theta_center": 45.0,
+                                              "phi_center": 0.0, "theta_width": 90.0,
+                                              "phi_width": 360.0}])),
+        "bins-bad": put("bins-bad.json", '{"label": "x"}'),
+        "out": str(d / "out.txt"),
+        "out-in-missing-dir": str(d / "no-such-dir" / "out.txt"),
+    }
+
+
+@st.composite
+def _argv(draw, files):
+    def path():
+        return files[draw(st.sampled_from(sorted(k for k in files if k not in _OUTPUTS)))]
+
+    def output():
+        return files[draw(st.sampled_from(_OUTPUTS))]
+
+    def pick(values):
+        return draw(st.sampled_from(values))
+
+    def options(table):
+        argv = []
+        for flag, values in table:
+            if draw(st.booleans()):
+                argv.append(flag)
+                if values is path or values is output:
+                    argv.append(values())
+                elif values is not None:
+                    argv.append(pick(values))
+        return argv
+
+    command = pick(("spec validate", "spec sample", "gen instances", "gen texture", "gen synth",
+                    "ingest", "annotate", "profile", "classify", "retrieve", "sample-batches"))
+    out = ("--out", output)
+    if command == "spec validate":
+        head = [path() for _ in range(draw(st.integers(0, 2)))]
+        table = []
+    elif command == "spec sample":
+        head = [path(), "--seed", pick(_SEEDS)]
+        table = [("--count", _SMALL), out]
+    elif command == "gen instances":
+        head = []
+        table = [("--labs", _SMALL), ("--spatial", _SMALL), ("--coffee-lab", _SMALL),
+                 ("--format", _FORMATS)]
+    elif command == "gen texture":
+        head = [path(), "--seed", pick(_SEEDS), "--out", output()]
+        table = [("--width", _SMALL), ("--height", _SMALL), ("--which", ("object", "table", "x")),
+                 ("--ppm", output)]
+    elif command == "gen synth":
+        head = ["--demos", path(), "--anchors", path(), "--out", output()]
+        table = [("--goal", ("pick,place", "pick", "fly,", "")), ("--spec", path),
+                 ("--id", ("d0", "d1", "zz")), ("--bridge-step", _FLOATS), ("--new-id", ("s",))]
+    elif command == "ingest":
+        head = [path()]
+        table = []
+    elif command == "annotate":
+        head = [path(), "--out", output()]
+        table = [("--color-table", path), ("--http-annotator", None),
+                 ("--table-center", _CENTERS), ("--bin-table", path)]
+    elif command == "profile":
+        head = [path()]
+        table = [("--cell", _FLOATS), ("--angular-cell", _FLOATS), ("--table-center", _CENTERS),
+                 out, ("--format", _FORMATS)]
+    elif command == "classify":
+        head = ["--target", path(), "--cotrain", path(),
+                "--dv", pick(dvalgebra.DV_NAMES + ("bogus",))]
+        table = [("--rho", _FLOATS), ("--cell", _FLOATS), ("--table-center", _CENTERS),
+                 ("--format", _FORMATS)]
+    elif command == "retrieve":
+        source = (["--query", path()] if draw(st.booleans()) else
+                  ["--query-text", pick(('(query :color "red")', "(query", "(query :motion pick)"))])
+        head = ["--corpus", path(), *source]
+        table = [("--report", None), out]
+    else:
+        head = ["--target", path(), "--cotrain", path(), "--seed", pick(_SEEDS)]
+        table = [("--omega", _FLOATS), ("--batch", _SMALL), ("--n", _SMALL), ("--stats", None),
+                 ("--no-counts", None), out]
+    argv = command.split() + head + options(table)
+    if argv and draw(st.integers(0, 9)) == 0:  # now and then a required part goes missing
+        del argv[draw(st.integers(0, len(argv) - 1))]
+    return argv
+
+
+@settings(max_examples=200, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(data=st.data())
+def test_cli_contract_holds_for_drawn_argv(fuzz_files, data):
+    argv = data.draw(_argv(fuzz_files), label="argv")
+    stdout, stderr = io.StringIO(), io.StringIO()
+    with mock.patch.dict(os.environ), redirect_stdout(stdout), redirect_stderr(stderr):
+        os.environ.pop(metadata.ANNOTATOR_URL_ENV, None)  # --http-annotator must never connect
+        code = cli.run(argv)
+    err = stderr.getvalue()
+    assert code in (0, 1, 2)
+    assert "Traceback" not in err
+    if code == 1:
+        report = json.loads(err)
+        assert isinstance(report["error"], str) and isinstance(report["message"], str)

@@ -346,6 +346,38 @@ def test_position_scan_matches_linear_scan_on_wide_boxes_and_faces():
     assert on_face > 0
 
 
+def test_gather_matches_linear_scan_on_all_none_and_empty():
+    rng = np.random.default_rng(23)
+    records = _random_corpus(rng, n=200)
+    every = RetrievalQuery(campose_target=(0.0, 0.0, 0.0), campose_tol=(5.0, 5.0, 5.0))
+    queries = [
+        every,
+        RetrievalQuery(objspat_center=(0.0, 0.0, 0.0), objspat_extent=(10.0, 10.0, 10.0)),
+        RetrievalQuery(campose_target=(9.0, 9.0, 9.0)),
+        RetrievalQuery(object_include="anvil"),
+        RetrievalQuery(color="red", campose_target=(0.0, 0.0, 0.0), campose_tol=(5.0, 5.0, 5.0)),
+    ]
+    for corpus in (records, []):
+        index = retrieval.build_index(corpus)
+        for q in queries:
+            got = retrieval.retrieve(index, q)
+            assert got == linear_scan(corpus, q)
+            assert type(got) is list and all(type(rid) is str for rid in got)
+    index = retrieval.build_index(records)
+    assert retrieval.retrieve(index, every) == [r.id for r in records]
+    assert retrieval.retrieve(index, queries[2]) == []
+    assert retrieval.retrieval_report(retrieval.build_index([]), every)["final_count"] == 0
+
+
+def test_index_ids_are_a_read_only_array():
+    index = retrieval.build_index([mini_record("a"), mini_record("b")])
+    assert index.ids.dtype == object and index.ids.shape == (2,)
+    assert list(index.ids) == ["a", "b"]
+    with pytest.raises(ValueError):
+        index.ids[0] = "c"
+    assert retrieval.retrieve(index, RetrievalQuery(campose_target=(0.6, 0.0, 0.6))) == ["a", "b"]
+
+
 # ---------------------------------------------------------------------------
 # stagewise report
 

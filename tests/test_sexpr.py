@@ -1,9 +1,13 @@
 from __future__ import annotations
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dvcurate import sexpr
 from dvcurate.errors import SpecSyntaxError
+
+from conftest import scanner_read_all, scanner_read_one
 
 
 def test_read_one_nested_form():
@@ -130,3 +134,50 @@ def test_atom_coercions():
         sexpr.as_string(num, "s")
     with pytest.raises(SpecSyntaxError, match="expected a symbol"):
         sexpr.as_symbol(num, "p")
+
+
+# ---------------------------------------------------------------------------
+# the one-pattern reader against the character scanner it replaced
+
+_FRAGMENTS = (
+    "(", ")", "((", "))", " ", "\n", "\r", "\r\n", "\t", "\x1c", "\x85", "\xa0", "\u3000",
+    "; comment", ";", "; (not a form\n", "pick", "_x-1", "Z9", ":kw", ":", ": x", ":-x",
+    '"s"', '""', '"a\\"b"', '"\\\\"', '"\\n\\t"', '"\\q"', '"\\', '"open', '"two\nlines"',
+    '"\\\n"', "\\", "1", "-2.5", "+.5", ".5e3", "1.05E+2", "1.", "1.2.3", "12abc", "1e",
+    "1e+", "+", "-", ".", "-x", "1)", "1;", '1"', "٣", "²", "é", "#", "[", "\x00",
+)
+_texts = st.one_of(
+    st.lists(st.sampled_from(_FRAGMENTS), max_size=24).map("".join),
+    st.text(alphabet=st.sampled_from("()\";:\\ \n\r\t\x85\u3000ae0.+-#"), max_size=40),
+)
+
+
+def _outcome(read, text):
+    try:
+        return "forms", read(text)
+    except SpecSyntaxError as exc:
+        return "error", str(exc), exc.line, exc.col
+
+
+@settings(max_examples=600, deadline=None)
+@given(_texts)
+def test_reader_matches_the_scanner_oracle(text):
+    assert _outcome(sexpr.read_all, text) == _outcome(scanner_read_all, text)
+    assert _outcome(sexpr.read_one, text) == _outcome(scanner_read_one, text)
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        '(a\r\n  "x\ny" ; c\r\n  :k\x85(b 1.5e-3))',
+        '"line\none" \u3000 "\\q"',
+        "(a)\n\n  (b",
+        "\n\n  )",
+        '(x "unterminated\n\\',
+        "(a) ; trailing comment only",
+        "(1.2.3",
+    ],
+)
+def test_reader_matches_the_scanner_oracle_on_multiline_cases(text):
+    assert _outcome(sexpr.read_all, text) == _outcome(scanner_read_all, text)
+    assert _outcome(sexpr.read_one, text) == _outcome(scanner_read_one, text)
