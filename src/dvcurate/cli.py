@@ -283,18 +283,23 @@ def build_parser() -> argparse.ArgumentParser:
     p_samp = spec_sub.add_parser("sample", help="sample concrete instances from a spec")
     p_samp.add_argument("file")
     p_samp.add_argument("--seed", type=int, required=True)
-    p_samp.add_argument("--count", type=int, default=1)
+    p_samp.add_argument("--count", type=_POSITIVE_INT, default=1)
     p_samp.add_argument("--out")
     p_samp.set_defaults(func=_cmd_spec_sample)
 
     p_gen = sub.add_parser("gen", help="procedural generation")
     gen_sub = p_gen.add_subparsers(dest="gen_command", required=True)
     p_inst = gen_sub.add_parser("instances", help="enumerate task instances per lab")
-    p_inst.add_argument("--labs", type=int, default=genkit.DEFAULT_LAB_COUNT)
+    p_inst.add_argument("--labs", type=_POSITIVE_INT, default=genkit.DEFAULT_LAB_COUNT)
     p_inst.add_argument("--spatial", type=int, default=genkit.DEFAULT_SPATIAL_COMBINATIONS)
     p_inst.add_argument("--coffee-lab", type=int, default=0)
     p_inst.add_argument("--format", choices=("text", "json"), default="text")
-    p_inst.set_defaults(func=_cmd_gen_instances)
+
+    def coffee_lab_in_range(args):
+        if not 0 <= args.coffee_lab < args.labs:
+            p_inst.error(f"argument --coffee-lab: must be in [0, {args.labs}), got {args.coffee_lab}")
+
+    p_inst.set_defaults(func=_cmd_gen_instances, check=coffee_lab_in_range)
     p_tex = gen_sub.add_parser("texture", help="render a fractal texture raster")
     p_tex.add_argument("file", help="task-spec file supplying the texture range")
     p_tex.add_argument("--seed", type=int, required=True)
@@ -378,6 +383,8 @@ def run(argv=None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
+        if hasattr(args, "check"):
+            args.check(args)  # a rule across arguments; a usage error like argparse's
     except SystemExit as exc:
         return int(exc.code) if exc.code is not None else 0
     try:

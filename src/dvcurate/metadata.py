@@ -9,17 +9,25 @@ Records live in line-delimited JSON, one demonstration per line:
      "annotations": {...} | null}
 
 `iter_records` reads a corpus in chunks of about CHUNK_BYTES of lines.  Each
-line is decoded with the stdlib `json`; the decoded records of a chunk are
-then validated together: their steps are concatenated into flat `t`,
+line of a chunk is decoded with `orjson`; the decoded records of the chunk
+are then validated together: their steps are concatenated into flat `t`,
 `ee_pos`, `ee_quat` and `gripper` arrays, each rule is one array operation
 over the chunk (with the steps where one record ends and the next begins
 left out of the time-order check), and the records are built from row
-slices of those arrays, so records of one chunk share memory.  `parse_record`
-is the only definition of the rules and the only code that raises for a bad
-record: when the batch check does not clear every record of a chunk, that
-chunk is re-read record by record through `parse_record`.  The first bad
-line wins: the records before it are yielded, then its error is raised with
-the same class, line, field and message as a line-by-line read would give.
+slices of those arrays, so records of one chunk share memory.  The stdlib
+`json` and `parse_record` are the only definition of the rules and the only
+code that raises for a bad line: when `orjson` refuses a line of a chunk, a
+line nests deeper than _MAX_FAST_DEPTH, or the batch check does not clear
+every record, the chunk is read again with the stdlib `json`, then checked
+as a batch and, unless that clears it, record by record through
+`parse_record`.  `orjson` accepts no line that the stdlib refuses and reads
+every float to the same double; what it refuses and the stdlib accepts (NaN
+and Infinity, lone surrogates, a BOM, numbers past the double range) takes
+the re-read.  The one value it reads differently, an integer outside the
+64-bit range (a float to orjson), is valid only where a float is, so it
+gives the same record.  The first bad line wins: the records before it are
+yielded, then its error is raised with the same class, line, field and
+message as a line-by-line read would give.
 
 Annotations derive the per-demo DV measurements: target object from the
 instructions, object position from the first smoothed gripper close, object
@@ -31,9 +39,11 @@ from __future__ import annotations
 import json
 import math
 import os
+import re
 from dataclasses import dataclass, replace
 
 import numpy as np
+import orjson
 import requests
 
 from . import lexicon as lexmod
@@ -163,6 +173,9 @@ def parse_record(obj: dict, line: int = 0) -> DemoRecord:
     if ann is not None:
         if not isinstance(ann, dict):
             raise _schema(line, "annotations", "must be an object or null")
+        bad = _bad_label(ann)
+        if bad is not None:
+            raise _schema(line, f"annotations.{bad}", "must be a string or null")
         try:
             annotations = _annotations(ann)
         except (TypeError, ValueError, OverflowError) as exc:
@@ -177,6 +190,17 @@ def parse_record(obj: dict, line: int = 0) -> DemoRecord:
         steps=Steps(ts, ee_pos, ee_quat, gripper),
         annotations=annotations,
     )
+
+
+_LABELS = ("target_object", "object_color", "camera_bin")
+
+
+def _bad_label(ann: dict) -> str | None:
+    """The first label field that holds neither a string nor null, if any."""
+    for name in _LABELS:
+        if not isinstance(ann.get(name), (str, type(None))):
+            return name
+    return None
 
 
 def _annotations(ann: dict) -> Annotations:
@@ -228,7 +252,7 @@ def _parse_chunk(objs: list) -> list[DemoRecord] | None:
                     and isinstance(instructions, list)
                     and all(isinstance(s, str) for s in instructions)
                     and isinstance(cam, dict) and isinstance(steps, list) and steps
-                    and (ann is None or isinstance(ann, dict))):
+                    and (ann is None or (isinstance(ann, dict) and _bad_label(ann) is None))):
                 return None
             cam_pos.append(cam["pos"])
             cam_quat.append(cam["quat"])
@@ -274,8 +298,67 @@ def _decode(raw: bytes, line: int):
         return json.loads(raw)
     except json.JSONDecodeError as exc:
         raise _schema(line, "json", f"invalid JSON: {exc.msg}") from None
-    except UnicodeDecodeError as exc:
+    except (UnicodeDecodeError, RecursionError) as exc:
         raise _schema(line, "json", f"invalid JSON: {exc}") from None
+
+
+# orjson builds nested values by recursion on the C stack with no depth limit
+# (an 8 MB stack overflows between 100 000 and 150 000 levels), so a line that
+# may nest deeper than this takes the stdlib re-read instead, which raises
+# RecursionError near 1000 levels.  A record nests 4 deep.
+_MAX_FAST_DEPTH = 512
+_NOT_STRUCTURE = bytes(sorted(set(range(256)) - set(b'[]{}"\\')))
+_NESTING_STEP = bytes(1 if c in b"[{" else 255 if c in b"]}" else 0 for c in range(256))
+_ESCAPE = re.compile(rb"\\.", re.DOTALL)
+
+
+def _depth(raw: bytes) -> int:
+    """Nesting depth of a JSON text; for invalid text, at least that of its valid prefix."""
+    s = raw.translate(None, _NOT_STRUCTURE)  # brackets, quotes and backslashes
+    if s.count(b'"') != 2 * s.count(b'""'):  # a string holds a bracket or an escape
+        s = b"".join(_ESCAPE.sub(b"", raw).translate(None, _NOT_STRUCTURE).split(b'"')[::2])
+    steps = np.frombuffer(s.translate(_NESTING_STEP), dtype=np.int8)
+    return int(steps.cumsum(dtype=np.int64).max(initial=0))
+
+
+def _too_deep(raw: bytes) -> bool:
+    """Whether a line may nest deeper than _MAX_FAST_DEPTH; exact for valid JSON."""
+    if len(raw) <= 2 * _MAX_FAST_DEPTH:  # valid JSON closes every level it opens
+        return False
+    # `[` and `{` are the only bytes b with b | 0x20 == `{`; each opens at most one level
+    opens = np.count_nonzero((np.frombuffer(raw, dtype=np.uint8) | 0x20) == ord("{"))
+    return opens > _MAX_FAST_DEPTH and _depth(raw) > _MAX_FAST_DEPTH
+
+
+def _fast_chunk(chunk: list[bytes]) -> list[DemoRecord] | None:
+    """The chunk's records as decoded by orjson, or None to have the chunk re-read."""
+    lines = [raw for raw in chunk if not raw.isspace()]
+    if any(map(_too_deep, lines)):
+        return None
+    try:
+        objs = list(map(orjson.loads, lines))
+    except orjson.JSONDecodeError:
+        return None
+    return _parse_chunk(objs)
+
+
+def _reread_chunk(chunk: list[bytes], lineno: int):
+    """Decode a chunk with the stdlib `json` and validate it, raising at its first bad line."""
+    objs, lines, error = [], [], None
+    for raw in chunk:
+        lineno += 1
+        if not raw.strip():
+            continue
+        try:
+            objs.append(_decode(raw, lineno))
+        except SchemaError as exc:
+            error = exc
+            break
+        lines.append(lineno)
+    records = _parse_chunk(objs)
+    yield from map(parse_record, objs, lines) if records is None else records
+    if error is not None:
+        raise error
 
 
 def iter_records(path):
@@ -287,21 +370,9 @@ def iter_records(path):
     with open(path, "rb") as fh:
         lineno = 0
         while chunk := fh.readlines(CHUNK_BYTES):
-            objs, lines, error = [], [], None
-            for raw in chunk:
-                lineno += 1
-                if not raw.strip():
-                    continue
-                try:
-                    objs.append(_decode(raw, lineno))
-                except SchemaError as exc:
-                    error = exc
-                    break
-                lines.append(lineno)
-            records = _parse_chunk(objs)
-            yield from map(parse_record, objs, lines) if records is None else records
-            if error is not None:
-                raise error
+            records = _fast_chunk(chunk)
+            yield from _reread_chunk(chunk, lineno) if records is None else records
+            lineno += len(chunk)
 
 
 def ingest(path) -> list[DemoRecord]:

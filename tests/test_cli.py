@@ -59,6 +59,13 @@ def test_usage_errors_exit_2(capsys):
         ["classify", "--target", "t", "--cotrain", "c", "--dv", "objSpat", "--cell", "inf"],
         ["gen", "texture", "s.mlspec", "--seed", "1", "--out", "o", "--height", "0"],
         ["gen", "synth", "--demos", "d", "--anchors", "a", "--out", "o", "--bridge-step", "0"],
+        ["gen", "instances", "--labs", "-1"],
+        ["gen", "instances", "--labs", "0"],
+        ["gen", "instances", "--labs", "2", "--coffee-lab", "9"],
+        ["gen", "instances", "--labs", "2", "--coffee-lab", "2"],
+        ["gen", "instances", "--coffee-lab", "-1"],
+        ["spec", "sample", "s.mlspec", "--seed", "1", "--count", "-2"],
+        ["spec", "sample", "s.mlspec", "--seed", "1", "--count", "0"],
     ],
 )
 def test_out_of_range_values_are_usage_errors(capsys, argv):
@@ -344,6 +351,10 @@ def _side_file(tmp_path, data):
         ("spec-not-utf8", "UnicodeDecode"),
         ("synth-without-goal", "InputError"),
         ("synth-empty-corpus", "EmptyDataset"),
+        ("profile-number-camera-bin", "SchemaError"),
+        ("ingest-list-target-object", "SchemaError"),
+        ("ingest-deeply-nested", "SchemaError"),
+        ("ingest-deeply-nested-closed", "SchemaError"),
     ],
 )
 def test_bad_inputs_exit_1_with_a_report(capsys, tmp_path, monkeypatch, corpus, case, error):
@@ -378,6 +389,13 @@ def test_bad_inputs_exit_1_with_a_report(capsys, tmp_path, monkeypatch, corpus, 
                                        "--out", out],
         "synth-empty-corpus": lambda: ["gen", "synth", "--demos", _side_file(tmp_path, ""),
                                        "--goal", "pick,place", "--anchors", anchors(), "--out", out],
+        "profile-number-camera-bin": lambda: ["profile", write_jsonl(tmp_path / "c.jsonl", [
+            demo_row(annotations={"camera_bin": 7, "target_object": [1, 2]})])],
+        "ingest-list-target-object": lambda: ["ingest", write_jsonl(tmp_path / "c.jsonl", [
+            demo_row(annotations={"target_object": [1, 2]})])],
+        "ingest-deeply-nested": lambda: ["ingest", _side_file(tmp_path, b"[" * 200_000)],
+        "ingest-deeply-nested-closed": lambda: ["ingest", _side_file(
+            tmp_path, b"[" * 200_000 + b"]" * 200_000 + b"\n")],
     }[case]()
     # the URL is never contacted: the retries setting fails first
     monkeypatch.setenv(metadata.ANNOTATOR_URL_ENV, "http://127.0.0.1:9/annotate")

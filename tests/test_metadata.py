@@ -1,10 +1,12 @@
 from __future__ import annotations
 
 import json
+import struct
 import threading
 from http.server import BaseHTTPRequestHandler, HTTPServer
 
 import numpy as np
+import orjson
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -76,6 +78,12 @@ _DELETE = object()
         ({"steps": []}, "steps"),
         ({"steps": "nope"}, "steps"),
         ({"annotations": 5}, "annotations"),
+        ({"annotations": {"target_object": [1, 2]}}, "annotations.target_object"),
+        ({"annotations": {"target_object": 2**64}}, "annotations.target_object"),
+        ({"annotations": {"object_color": True}}, "annotations.object_color"),
+        ({"annotations": {"object_color": {"r": 1}}}, "annotations.object_color"),
+        ({"annotations": {"camera_bin": 7}}, "annotations.camera_bin"),
+        ({"annotations": {"camera_bin": 0.5, "target_object": [1]}}, "annotations.target_object"),
     ],
 )
 def test_parse_record_schema_errors(changes, field_hint):
@@ -114,6 +122,8 @@ def test_parse_record_accepts_annotations():
     rec = metadata.parse_record(demo_row(annotations=ann))
     assert rec.annotations.target_object == "mug"
     assert rec.annotations.object_position == (0.1, 0.2, 0.02)
+    nulls = {"target_object": None, "object_color": None, "camera_bin": None}
+    assert metadata.parse_record(demo_row(annotations=nulls)).annotations == metadata.Annotations()
 
 
 def test_iter_records_line_numbers(tmp_path):
@@ -166,7 +176,7 @@ def _line_by_line(path):
                 obj = json.loads(raw)
             except json.JSONDecodeError as exc:
                 return records, SchemaError(lineno, "json", f"invalid JSON: {exc.msg}")
-            except UnicodeDecodeError as exc:
+            except (UnicodeDecodeError, RecursionError) as exc:
                 return records, SchemaError(lineno, "json", f"invalid JSON: {exc}")
             try:
                 records.append(metadata.parse_record(obj, lineno))
@@ -257,7 +267,31 @@ _FAULTS = {
     "nan camera quat": lambda row: row["camera_extrinsics"].update(
         quat=[float("nan"), 0.0, 0.0, 0.0]),
     "half-step t": lambda row: _last_step(row, t=1.5),
+    # where orjson and the stdlib differ: each chunk must give the stdlib's answer
+    "t of 2**64": lambda row: _last_step(row, t=2**64),
+    "integer 10**30 in ee_pos": lambda row: _last_step(row, ee_pos=[10**30, 0.0, 0.3]),
+    "NaN literal in an extra field": lambda row: row.update(extra=float("nan")),
+    "Infinity literal in an extra field": lambda row: row["steps"][0].update(extra=float("inf")),
+    "lone surrogate in lab": lambda row: row.update(lab="lab\ud800"),
+    "utf-8 BOM": lambda line: b"\xef\xbb\xbf" + line,
+    "target_object of 2**64": lambda row: row.update(annotations={"target_object": 2**64}),
+    "number camera_bin": lambda row: row.update(annotations={"camera_bin": 7}),
+    "list object_color": lambda row: row.update(annotations={"object_color": ["red"]}),
+    # 600 lies past _MAX_FAST_DEPTH and within the stdlib's recursion limit; 1200 past both
+    "nested 600 deep in an extra field": lambda line: _nest_extra(line, 600),
+    "nested 1200 deep in an extra field": lambda line: _nest_extra(line, 1200),
+    "unclosed 2000 deep in an extra field": lambda line: _nest_extra(line, 2000, closed=False),
 }
+# faults on the encoded line rather than on the row
+_LINE_FAULTS = ("bad json", "non-utf8", "utf-8 BOM", "nested 600 deep in an extra field",
+                "nested 1200 deep in an extra field", "unclosed 2000 deep in an extra field")
+
+
+def _nest_extra(line: bytes, depth: int, closed: bool = True) -> bytes:
+    """`line` with an extra field of `depth` nested lists, which no schema rule reads."""
+    assert line.endswith(b"}\n")
+    tail = b"]" * depth + b"}" if closed else b""
+    return line[:-2] + b',"extra":' + b"[" * depth + tail + b"\n"
 
 
 def _write_valid(kind, path):
@@ -299,7 +333,7 @@ def test_chunked_reader_matches_line_by_line(tmp_path, case):
         target = {"first": second[0], "middle": second[len(second) // 2],
                   "last": second[-1]}[role]
         inject = _FAULTS[fault]
-        if fault in ("bad json", "non-utf8"):
+        if fault in _LINE_FAULTS:
             lines[target - 1] = inject(lines[target - 1])
         else:
             inject(rows[target - 1])
@@ -317,6 +351,62 @@ def test_chunked_reader_matches_line_by_line(tmp_path, case):
         assert got_err.report() == want_err.report()
     elif case[0] == "valid":
         assert want and all(r.steps.t.base is not None for r in got)  # built by the batch path
+
+
+@pytest.mark.parametrize("closed", [True, False], ids=["closed", "unclosed"])
+def test_deeply_nested_line_is_a_schema_error(tmp_path, closed):
+    path = tmp_path / "corpus.jsonl"
+    deep = b"[" * 200_000 + (b"]" * 200_000 if closed else b"") + b"\n"
+    path.write_bytes(_dump(demo_row(rid="a")) + deep + _dump(demo_row(rid="b")))
+    got, got_err = _chunked(path)
+    assert [r.id for r in got] == ["a"]
+    assert got_err.report() == _line_by_line(path)[1].report()
+    assert (got_err.line, got_err.field) == (2, "json")
+    assert "invalid JSON: maximum recursion depth exceeded" in str(got_err)
+
+
+def test_valid_chunks_never_reach_the_stdlib_decoder(tmp_path, monkeypatch):
+    path = tmp_path / "corpus.jsonl"
+    rows = _rows() + [demo_row(rid="long", n=400)]  # more than _MAX_FAST_DEPTH brackets
+    rows[7]["extra"] = [[["no rule reads this"]]]
+    rows[5]["lab"] = "caf\u00e9 [b] \\ \"q\""  # escapes and brackets inside a string
+    write_jsonl(path, rows)
+    want = metadata.ingest(path)
+
+    def refuse(raw, line):
+        raise AssertionError(f"line {line} was re-read")
+
+    monkeypatch.setattr(metadata, "_decode", refuse)
+    _assert_same_records(metadata.ingest(path), want)
+
+
+def _json_depth(value) -> int:
+    if isinstance(value, dict):
+        value = list(value.values())
+    return 1 + max(map(_json_depth, value), default=0) if isinstance(value, list) else 0
+
+
+_JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.floats(allow_nan=False) | st.integers()
+    | st.text(alphabet='[]{}"\\:,ab\n\u00e9\ud800'),
+    lambda inner: st.lists(inner, max_size=4)
+    | st.dictionaries(st.text(alphabet='[]{}"\\ab', max_size=3), inner, max_size=4),
+    max_leaves=40,
+)
+
+
+@given(_JSON_VALUES, st.booleans())
+@settings(max_examples=500)
+def test_depth_matches_the_nesting_of_the_value(value, ascii_only):
+    raw = json.dumps(value, ensure_ascii=ascii_only).encode("utf-8", "surrogatepass")
+    assert metadata._depth(raw) == _json_depth(value)
+
+
+@given(st.floats(allow_nan=False, allow_infinity=False))
+@settings(max_examples=2000)
+def test_orjson_reads_floats_to_the_stdlib_double(x):
+    text = repr(x)
+    assert struct.pack("<d", orjson.loads(text)) == struct.pack("<d", json.loads(text))
 
 
 # ---------------------------------------------------------------------------
