@@ -18,9 +18,10 @@ slices of those arrays, so records of one chunk share memory.  The stdlib
 `json` and `parse_record` are the only definition of the rules and the only
 code that raises for a bad line: when `orjson` refuses a line of a chunk, a
 line nests deeper than _MAX_FAST_DEPTH, or the batch check does not clear
-every record, the chunk is read again with the stdlib `json`, then checked
-as a batch and, unless that clears it, record by record through
-`parse_record`.  `orjson` accepts no line that the stdlib refuses and reads
+every record, the chunk is read again with the stdlib `json`.  A chunk the
+batch check refused then goes record by record through `parse_record`;
+any other is checked as a batch first, and record by record unless that
+clears it.  `orjson` accepts no line that the stdlib refuses and reads
 every float to the same double; what it refuses and the stdlib accepts (NaN
 and Infinity, lone surrogates, a BOM, numbers past the double range) takes
 the re-read.  The one value it reads differently, an integer outside the
@@ -28,6 +29,17 @@ the re-read.  The one value it reads differently, an integer outside the
 gives the same record.  The first bad line wins: the records before it are
 yielded, then its error is raised with the same class, line, field and
 message as a line-by-line read would give.
+
+`write_records` writes each record as the stdlib's compact `json.dumps` of
+`record_to_dict` would, byte for byte.  `orjson` encodes a record about 4x
+faster, but writes other bytes for some values: non-ASCII text as raw UTF-8
+(the stdlib escapes it), DEL (U+007F) unescaped, and floats below 1e-4 or from
+1e16 up in its own notation (`0.00001` for `1e-05`, `1e16` for `1e+16`, null
+for NaN and infinities); it raises on lone surrogates and numpy scalars.  So
+a record goes to `orjson` only when every string is printable ASCII and
+every float is 0 or has 1e-4 <= |x| < 1e16, where `orjson` writes what
+`repr` does, and the annotation position holds only floats; any other
+record is encoded whole by the stdlib, which also raises where it always did.
 
 Annotations derive the per-demo DV measurements: target object from the
 instructions, object position from the first smoothed gripper close, object
@@ -330,20 +342,23 @@ def _too_deep(raw: bytes) -> bool:
     return opens > _MAX_FAST_DEPTH and _depth(raw) > _MAX_FAST_DEPTH
 
 
-def _fast_chunk(chunk: list[bytes]) -> list[DemoRecord] | None:
-    """The chunk's records as decoded by orjson, or None to have the chunk re-read."""
+def _orjson_objects(chunk: list[bytes]) -> list | None:
+    """The chunk's objects as decoded by orjson, or None to have the stdlib decode it."""
     lines = [raw for raw in chunk if not raw.isspace()]
     if any(map(_too_deep, lines)):
         return None
     try:
-        objs = list(map(orjson.loads, lines))
+        return list(map(orjson.loads, lines))
     except orjson.JSONDecodeError:
         return None
-    return _parse_chunk(objs)
 
 
-def _reread_chunk(chunk: list[bytes], lineno: int):
-    """Decode a chunk with the stdlib `json` and validate it, raising at its first bad line."""
+def _reread_chunk(chunk: list[bytes], lineno: int, batch: bool):
+    """Decode a chunk with the stdlib `json` and validate it, raising at its first bad line.
+
+    With `batch`, the objects are checked together first; without it, every
+    line goes through `parse_record`.
+    """
     objs, lines, error = [], [], None
     for raw in chunk:
         lineno += 1
@@ -355,10 +370,25 @@ def _reread_chunk(chunk: list[bytes], lineno: int):
             error = exc
             break
         lines.append(lineno)
-    records = _parse_chunk(objs)
+    records = _parse_chunk(objs) if batch else None
     yield from map(parse_record, objs, lines) if records is None else records
     if error is not None:
         raise error
+
+
+def _chunk_records(chunk: list[bytes], lineno: int):
+    """The chunk's records from its orjson objects, or the stdlib re-read of the chunk.
+
+    A plain function, so that the decoded objects are freed before the
+    records are yielded.
+    """
+    objs = _orjson_objects(chunk)
+    records = None if objs is None else _parse_chunk(objs)
+    if records is None:
+        # the batch check would refuse the stdlib's objects too: the two
+        # decoders agree on every value that can pass it
+        return _reread_chunk(chunk, lineno, batch=objs is None)
+    return records
 
 
 def iter_records(path):
@@ -370,8 +400,7 @@ def iter_records(path):
     with open(path, "rb") as fh:
         lineno = 0
         while chunk := fh.readlines(CHUNK_BYTES):
-            records = _fast_chunk(chunk)
-            yield from _reread_chunk(chunk, lineno) if records is None else records
+            yield from _chunk_records(chunk, lineno)
             lineno += len(chunk)
 
 
@@ -415,13 +444,64 @@ def _floats(values) -> list:
     return np.asarray(values, dtype=float).tolist()
 
 
+# orjson writes a nonzero float as `repr` does when its magnitude lies in
+# [_REPR_MIN, _REPR_MAX); outside, it writes 0.00001 for 1e-05, 1e16 for 1e+16
+# and null for NaN and infinities.
+_REPR_MIN, _REPR_MAX = 1e-4, 1e16
+
+
+def _printable_ascii(text) -> bool:
+    return type(text) is str and text.isascii() and text.isprintable()
+
+
+def _orjson_exact(record: DemoRecord, obj: dict) -> bool:
+    """Whether `orjson.dumps(obj)` gives the bytes of the stdlib's compact `json.dumps`.
+
+    True when every string of `obj` is printable ASCII (orjson writes other
+    text as raw UTF-8 where the stdlib escapes it, and raises on lone
+    surrogates) and every float is 0 or has _REPR_MIN <= |x| < _REPR_MAX.
+    Strings must be `str` and position coordinates `float`, since a
+    hand-built record may hold numpy scalars (on which orjson raises) or text
+    there; every other value of `obj` comes from `.tolist()`.
+    """
+    texts = [obj["id"], obj["lab"], *obj["instructions"]]
+    floats = [record.camera_pos, record.camera_quat,
+              record.steps.ee_pos, record.steps.ee_quat, record.steps.gripper]
+    ann = obj["annotations"]
+    if ann is not None:
+        texts += [label for name in _LABELS if (label := ann[name]) is not None]
+        pos = ann["object_position"]
+        if pos is not None:
+            if not all(type(v) is float for v in pos):
+                return False
+            floats.append(pos)
+    if not all(map(_printable_ascii, texts)):
+        return False
+    mag = np.abs(np.concatenate([np.asarray(f, dtype=float).ravel() for f in floats]))
+    return bool((((mag >= _REPR_MIN) & (mag < _REPR_MAX)) | (mag == 0.0)).all())
+
+
+def _encode(record: DemoRecord) -> bytes:
+    obj = record_to_dict(record)
+    if _orjson_exact(record, obj):
+        return orjson.dumps(obj, option=orjson.OPT_APPEND_NEWLINE)
+    return json.dumps(obj, separators=(",", ":")).encode() + b"\n"
+
+
 def write_records(path, records) -> int:
-    """Write records as line-delimited JSON; returns the record count."""
+    """Write records as line-delimited JSON; returns the record count.
+
+    Each line holds the bytes of the stdlib's compact `json.dumps` of
+    `record_to_dict`.  A record whose strings and floats orjson writes as the
+    stdlib does (`_orjson_exact`: printable ASCII, floats 0 or of magnitude
+    in [1e-4, 1e16)) is encoded by orjson, about 4x faster; any other record
+    is encoded whole by the stdlib, which raises for a value it cannot write.
+    The lines written before such an error stay in the file.
+    """
     n = 0
-    with open(path, "w", encoding="utf-8") as fh:
+    with open(path, "wb") as fh:
         for rec in records:
-            fh.write(json.dumps(record_to_dict(rec), separators=(",", ":")))
-            fh.write("\n")
+            fh.write(_encode(rec))
             n += 1
     return n
 

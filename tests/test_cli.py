@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 
 from dvcurate import cli, dvalgebra, genkit, metadata, taskspec
 
-from conftest import DATA_DIR, demo_row, write_jsonl
+from conftest import DATA_DIR, demo_row, element_record_to_dict, write_jsonl
 
 BIN_CARROT = str(DATA_DIR / "specs" / "valid" / "bin-carrot.mlspec")
 WRAPPED_HUE = str(DATA_DIR / "specs" / "valid" / "wrapped-hue.mlspec")
@@ -301,6 +301,60 @@ def test_annotate_pipeline(capsys, tmp_path, corpus):
     assert [r.annotations.object_color for r in annotated] == ["red", "blue", "green"]
     assert annotated[0].annotations.target_object == "mug"
     assert annotated[0].annotations.camera_bin == "agent-front"
+
+
+def _stdlib_bytes(records) -> bytes:
+    return b"".join(json.dumps(element_record_to_dict(r), separators=(",", ":")).encode() + b"\n"
+                    for r in records)
+
+
+@pytest.fixture
+def odd_corpus(tmp_path):
+    """Non-ASCII lab and instruction text and a 3e-06 step coordinate beside a plain row."""
+    rows = [
+        demo_row(rid="d0", lab="lab-\u00e9t\u00e9", instructions=("pick up the mug \u2014 vite",)),
+        demo_row(rid="d1", instructions=("put the pen in the cup",)),
+        demo_row(rid="d2", lab="\u6771\u4eac", instructions=("push the plate \u2192 left",)),
+        demo_row(rid="d3", instructions=("pick up the bowl",)),
+    ]
+    rows[1]["steps"][3]["ee_pos"][1] = 3e-06
+    for step in rows[3]["steps"]:  # interpolation leaves values like 2.8e-17
+        step["ee_pos"] = [round(v, 9) for v in step["ee_pos"]]
+    return write_jsonl(tmp_path / "odd.jsonl", rows)
+
+
+def test_annotate_writes_the_stdlib_bytes(capsys, tmp_path, odd_corpus):
+    colors = tmp_path / "colors.json"
+    colors.write_text(json.dumps({"d0": "scarlet", "d1": "navy", "d2": "olive", "d3": "red"}))
+    out_path = tmp_path / "annotated.jsonl"
+    code, _, _ = run_cli(capsys, "annotate", odd_corpus, "--out", str(out_path),
+                         "--color-table", str(colors))
+    assert code == 0
+    table = metadata.OfflineColorTable.from_json(colors)
+    want = [metadata.annotate_record(r, annotator=table) for r in metadata.ingest(odd_corpus)]
+    data = out_path.read_bytes()
+    assert data == _stdlib_bytes(want)
+    assert [metadata._orjson_exact(r, metadata.record_to_dict(r)) for r in want] == \
+        [False, False, False, True]
+    assert b"lab-\\u00e9t\\u00e9" in data and b"3e-06" in data
+
+
+@pytest.mark.parametrize("rid", ["d0", "d1", "d2", "d3"])
+def test_gen_synth_writes_the_stdlib_bytes(capsys, tmp_path, odd_corpus, rid):
+    source = next(r for r in metadata.ingest(odd_corpus) if r.id == rid)
+    segments = genkit.decompose(source, taskspec.PredicateSequence(
+        (taskspec.Primitive("pick"), taskspec.Primitive("place"))))
+    anchors = [(np.array([0.25, -0.1, 0.0]), segments[0].anchor_quat),
+               (np.array([-0.2, 0.3, 3e-06]), segments[1].anchor_quat)]
+    anchors_path = tmp_path / "anchors.json"
+    anchors_path.write_text(json.dumps([{"pos": p.tolist(), "quat": q.tolist()} for p, q in anchors]))
+    out_path = tmp_path / "synth.jsonl"
+    code, _, _ = run_cli(capsys, "gen", "synth", "--demos", odd_corpus, "--id", rid,
+                         "--goal", "pick,place", "--anchors", str(anchors_path),
+                         "--out", str(out_path))
+    assert code == 0
+    want = genkit.synthesize(segments, anchors, 0.05, like=source, new_id="synth-0")
+    assert out_path.read_bytes() == _stdlib_bytes([want])
 
 
 def test_annotate_unknown_color_label_is_loud(capsys, tmp_path, corpus):

@@ -380,6 +380,52 @@ def test_valid_chunks_never_reach_the_stdlib_decoder(tmp_path, monkeypatch):
     _assert_same_records(metadata.ingest(path), want)
 
 
+def _count_calls(monkeypatch, name) -> list:
+    """Patch `metadata.<name>` to record the arguments of each call."""
+    calls, real = [], getattr(metadata, name)
+
+    def counted(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(metadata, name, counted)
+    return calls
+
+
+def _one_chunk(tmp_path, fault):
+    rows = [demo_row(rid=f"r{i}", n=10) for i in range(5)]
+    fault(rows[3])
+    path = tmp_path / "corpus.jsonl"
+    write_jsonl(path, rows)
+    assert len(_chunks(path)) == 1
+    return path
+
+
+def test_a_chunk_the_batch_check_refused_goes_straight_to_parse_record(tmp_path, monkeypatch):
+    path = _one_chunk(tmp_path, lambda row: _last_step(row, t=0))
+    want, want_err = _line_by_line(path)
+    batch = _count_calls(monkeypatch, "_parse_chunk")
+    single = _count_calls(monkeypatch, "parse_record")
+    got, got_err = _chunked(path)
+    assert len(batch) == 1  # on the orjson objects only
+    assert [line for _, line in single] == [1, 2, 3, 4]
+    _assert_same_records(got, want)
+    assert got_err.report() == want_err.report()
+    assert (got_err.line, got_err.field) == (4, "steps.t")
+
+
+def test_a_chunk_orjson_refused_is_batch_checked_once_on_the_stdlib_objects(tmp_path, monkeypatch):
+    path = _one_chunk(tmp_path, lambda row: row.update(extra=float("nan")))
+    want, _ = _line_by_line(path)
+    batch = _count_calls(monkeypatch, "_parse_chunk")
+    single = _count_calls(monkeypatch, "parse_record")
+    got, got_err = _chunked(path)
+    assert len(batch) == 1 and batch[0][0][3]["extra"] != batch[0][0][3]["extra"]  # NaN
+    assert single == []
+    assert got_err is None and len(got) == 5
+    _assert_same_records(got, want)
+
+
 def _json_depth(value) -> int:
     if isinstance(value, dict):
         value = list(value.values())
@@ -698,3 +744,144 @@ def test_write_records_matches_per_element_json(tmp_path):
     expected = "".join(json.dumps(element_record_to_dict(r), separators=(",", ":")) + "\n"
                        for r in records)
     assert path.read_text(encoding="utf-8") == expected
+
+
+def _stdlib_lines(records) -> bytes:
+    return b"".join(json.dumps(element_record_to_dict(r), separators=(",", ":")).encode() + b"\n"
+                    for r in records)
+
+
+# floats that orjson writes as repr() does, and the values around and past that range
+_REPR_FLOATS = st.one_of(
+    st.sampled_from([0.0, -0.0]),
+    st.builds(lambda sign, x: sign * x, st.sampled_from([1.0, -1.0]),
+              st.floats(metadata._REPR_MIN, metadata._REPR_MAX, exclude_max=True)),
+)
+_EDGE_FLOATS = [
+    float(np.nextafter(sign * bound, sign * toward))
+    for bound in (1e-4, 1e16) for toward in (0.0, np.inf) for sign in (1.0, -1.0)
+] + [1e-4, -1e-4, 1e16, -1e16, 3e-06, 5e-324, -2.2250738585072014e-308,
+     1.7976931348623157e308, float("nan"), float("inf"), float("-inf"), -0.0]
+_ANY_FLOATS = st.one_of(_REPR_FLOATS, st.floats(), st.sampled_from(_EDGE_FLOATS))
+_PRINTABLE_TEXT = st.text(st.characters(min_codepoint=0x20, max_codepoint=0x7e), max_size=8)
+_ODD_CHARS = st.one_of(st.characters(), st.sampled_from(
+    ["\x00", "\x1f", "\n", "\x7f", "\u2028", "\ud800", "\udfff", '"', "\\", "\u00e9",
+     "\U0001f600"]))
+_ODD_TEXT = st.builds(lambda a, c, b: a + c + b, _PRINTABLE_TEXT, _ODD_CHARS, _PRINTABLE_TEXT)
+_ANY_TEXT = st.text(_ODD_CHARS, max_size=8)
+# what a hand-built object_position may hold besides floats
+_POSITION_VALUES = st.one_of(_ANY_FLOATS, st.integers(), st.builds(np.float64, _REPR_FLOATS),
+                             st.sampled_from(["0.5", "\u0663", True]))
+
+
+@st.composite
+def _drawn_records(draw):
+    """A record of repr-safe floats and printable text with at most one odd value, or of anything."""
+    wild = draw(st.booleans())
+    floats, text = (_ANY_FLOATS, _ANY_TEXT) if wild else (_REPR_FLOATS, _PRINTABLE_TEXT)
+    n = draw(st.integers(1, 4))
+
+    def rows(*shape):
+        size = int(np.prod(shape))
+        return np.array(draw(st.lists(floats, min_size=size, max_size=size))).reshape(shape)
+
+    arrays = [rows(3), rows(4), rows(n, 3), rows(n, 4), rows(n)]
+    position = rows(3).tolist()
+    texts = draw(st.lists(text, min_size=5, max_size=8))  # id, lab, 3 labels, instructions
+    odd = "none" if wild else draw(st.sampled_from(["none", "float", "position", "text"]))
+    if odd == "float":
+        flat = draw(st.sampled_from(arrays)).reshape(-1)
+        flat[draw(st.integers(0, flat.size - 1))] = draw(_ANY_FLOATS)
+    elif odd == "position":
+        position[draw(st.integers(0, 2))] = draw(_POSITION_VALUES)
+    elif odd == "text":
+        texts[draw(st.integers(0, len(texts) - 1))] = draw(_ODD_TEXT)
+    rid, lab, target, color, camera_bin, *instructions = texts
+    kind = "full" if odd == "position" else draw(st.sampled_from(["absent", "null", "full"]))
+    ann = None if kind == "absent" else metadata.Annotations()
+    if kind == "full":
+        ann = metadata.Annotations(target, tuple(position), color, camera_bin)
+    t = np.array(draw(st.lists(st.integers(-2**63, 2**63 - 1), min_size=n, max_size=n)))
+    cam_pos, cam_quat, ee_pos, ee_quat, gripper = arrays
+    return metadata.DemoRecord(rid, lab, tuple(instructions), cam_pos, cam_quat,
+                               metadata.Steps(t, ee_pos, ee_quat, gripper), ann)
+
+
+@given(st.lists(_drawn_records(), min_size=1, max_size=3))
+@settings(max_examples=600, deadline=None)
+def test_write_records_matches_the_stdlib_on_drawn_records(tmp_path_factory, records):
+    path = tmp_path_factory.mktemp("write") / "out.jsonl"
+    assert metadata.write_records(path, records) == len(records)
+    assert path.read_bytes() == _stdlib_lines(records)
+
+
+_PLAIN = dict(
+    id="r", lab="lab-1", instructions=("pick up the mug",),
+    camera_pos=[0.64, 0.0, 0.64], camera_quat=[1.0, 0.0, 0.0, 0.0],
+    ee_pos=[[0.1, -0.2, 0.3]] * 3, ee_quat=[[0.5, 0.5, -0.5, 0.5]] * 3, gripper=[0.0, 1.0, 0.5],
+    target_object="mug", object_position=[0.2, -0.0, 0.02], object_color="red",
+    camera_bin="agent-front")
+
+
+def _plain_record(**changes) -> metadata.DemoRecord:
+    """A record of printable ASCII and repr-safe floats, with `changes` applied."""
+    f = {**_PLAIN, **changes}
+    arrays = {k: np.array(f[k]) for k in ("camera_pos", "camera_quat", "ee_pos", "ee_quat", "gripper")}
+    steps = metadata.Steps(np.arange(3), arrays["ee_pos"], arrays["ee_quat"], arrays["gripper"])
+    ann = metadata.Annotations(f["target_object"], tuple(f["object_position"]),
+                               f["object_color"], f["camera_bin"])
+    return metadata.DemoRecord(f["id"], f["lab"], f["instructions"], arrays["camera_pos"],
+                               arrays["camera_quat"], steps, ann)
+
+
+def _one_odd_value():
+    """Records that differ from _plain_record in one value orjson may write otherwise."""
+    for name in ("id", "lab", "instructions", "target_object", "object_color", "camera_bin"):
+        for char in ("\x7f", "\u00e9", "\u2028", "\ud800"):
+            text = f"a{char}b"
+            yield _plain_record(**{name: (text,) if name == "instructions" else text})
+    for name in ("camera_pos", "camera_quat", "ee_pos", "ee_quat", "gripper", "object_position"):
+        for x in (1e-5, -9.9e-5, 1e16, -1e22, float("nan"), float("-inf")):
+            values = np.array(_PLAIN[name])
+            values.reshape(-1)[-1] = x
+            yield _plain_record(**{name: values.tolist()})
+    for x in (np.float64(0.25), "\u0663", 10**20, True):
+        yield _plain_record(object_position=[0.2, x, 0.02])
+
+
+def test_write_records_matches_the_stdlib_with_one_odd_value(tmp_path):
+    plain = _plain_record()
+    assert metadata._orjson_exact(plain, metadata.record_to_dict(plain))
+    records = [plain, *_one_odd_value()]
+    path = tmp_path / "out.jsonl"
+    metadata.write_records(path, records)
+    assert path.read_bytes() == _stdlib_lines(records)
+
+
+def _with_position(record, position):
+    ann = metadata.Annotations("mug", position, "red", "agent-front")
+    return metadata.DemoRecord(record.id, record.lab, record.instructions, record.camera_pos,
+                               record.camera_quat, record.steps, ann)
+
+
+def test_write_records_writes_numpy_float64_positions_as_the_stdlib(tmp_path):
+    rec = _with_position(make_record(rid="a", n=5), (np.float64(0.2), 0.0, np.float64(1 / 3)))
+    with pytest.raises(orjson.JSONEncodeError):
+        orjson.dumps(rec.annotations.object_position[0])
+    path = tmp_path / "out.jsonl"
+    metadata.write_records(path, [rec])
+    assert path.read_bytes() == _stdlib_lines([rec])
+    assert b'"object_position":[0.2,0.0,0.3333333333333333]' in path.read_bytes()
+
+
+def test_write_records_raises_the_stdlib_error_and_keeps_the_lines_before_it(tmp_path):
+    good = [make_record(rid=f"ok{i}", n=5) for i in range(2)]
+    bad = _with_position(make_record(rid="bad", n=5), (np.float32(0.25), 0.0, 0.0))
+    with pytest.raises(TypeError) as want:
+        json.dumps(element_record_to_dict(bad), separators=(",", ":"))
+    path = tmp_path / "out.jsonl"
+    with pytest.raises(TypeError) as got:
+        metadata.write_records(path, [*good, bad, make_record(rid="after", n=5)])
+    assert type(got.value) is type(want.value) and str(got.value) == str(want.value)
+    assert "float32" in str(got.value)
+    assert path.read_bytes() == _stdlib_lines(good)
