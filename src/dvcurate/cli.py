@@ -13,6 +13,7 @@ reproducible from it.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import math
 import sys
@@ -25,6 +26,16 @@ from .errors import DVCurateError, EmptyDataset, InputError
 
 def _print_json(obj, stream=None) -> None:
     print(json.dumps(obj, indent=2, sort_keys=True), file=stream or sys.stdout)
+
+
+@contextlib.contextmanager
+def _output(path):
+    """The text file at `path`, opened for writing, or stdout when no path is given."""
+    if not path:
+        yield sys.stdout
+        return
+    with open(path, "w", encoding="utf-8") as fh:
+        yield fh
 
 
 def _read_ids(path) -> list[str]:
@@ -42,6 +53,8 @@ def _read_anchors(path) -> list[tuple[np.ndarray, np.ndarray]]:
             raise InputError(f"bad anchors file {path}: {exc!r}") from None
     if any(pos.shape != (3,) or quat.shape != (4,) for pos, quat in anchors):
         raise InputError(f"bad anchors file {path}: each anchor needs a 3-vector pos and a 4-vector quat")
+    if not all(np.isfinite(pos).all() and np.isfinite(quat).all() for pos, quat in anchors):
+        raise InputError(f"bad anchors file {path}: every pos and quat value must be finite")
     return anchors
 
 
@@ -57,15 +70,11 @@ def _cmd_spec_validate(args) -> int:
 
 def _cmd_spec_sample(args) -> int:
     spec = taskspec.parse_file(args.file)
-    out = open(args.out, "w", encoding="utf-8") if args.out else sys.stdout
-    try:
+    with _output(args.out) as out:
         for i in range(args.count):
             inst = taskspec.sample_instance(spec, args.seed + i)
             out.write(json.dumps(taskspec.instance_to_dict(inst), sort_keys=True))
             out.write("\n")
-    finally:
-        if args.out:
-            out.close()
     return 0
 
 
@@ -123,6 +132,9 @@ def _cmd_gen_synth(args) -> int:
     else:
         raise InputError("gen synth needs a goal: pass --goal or --spec")
     anchors = _read_anchors(args.anchors)
+    if len(anchors) != len(goal.primitives):
+        raise InputError(f"{args.anchors} holds {len(anchors)} anchors for a goal of "
+                         f"{len(goal.primitives)} primitives")
     segments = genkit.decompose(source, goal)
     synth = genkit.synthesize(segments, anchors, args.bridge_step, like=source, new_id=args.new_id)
     metadata.write_records(args.out, [synth])
@@ -213,8 +225,7 @@ def _cmd_retrieve(args) -> int:
     else:
         queries = retrieval.parse_query_file(args.query)
     index = retrieval.build_index(metadata.iter_records(args.corpus))
-    out = open(args.out, "w", encoding="utf-8") if args.out else sys.stdout
-    try:
+    with _output(args.out) as out:
         for query in queries:
             if args.report:
                 out.write(json.dumps(retrieval.retrieval_report(index, query), sort_keys=True))
@@ -222,9 +233,6 @@ def _cmd_retrieve(args) -> int:
             else:
                 for rid in retrieval.retrieve(index, query):
                     out.write(rid + "\n")
-    finally:
-        if args.out:
-            out.close()
     return 0
 
 
@@ -242,14 +250,10 @@ def _cmd_sample_batches(args) -> int:
             stats.pop("draw_counts", None)
         _print_json(stats)
     else:
-        out = open(args.out, "w", encoding="utf-8") if args.out else sys.stdout
-        try:
+        with _output(args.out) as out:
             for ids in sampler.batches(stream, args.n):
                 out.write(" ".join(ids))
                 out.write("\n")
-        finally:
-            if args.out:
-                out.close()
     return 0
 
 

@@ -372,9 +372,7 @@ def _dilate3(p, cell: float) -> tuple:
 
 def profile_dataset(records, cell: float = DILATION_CELL_DEFAULT,
                     angular_cell: float = ANGULAR_CELL_DEFAULT,
-                    table_center=(0.0, 0.0, 0.0),
-                    bins=metamod.DEFAULT_CAMERA_BINS,
-                    lexicon=None) -> DatasetProfile:
+                    table_center=(0.0, 0.0, 0.0)) -> DatasetProfile:
     """Measure every DV support over a corpus.
 
     Spatial supports are unions of per-record cells: each observed position is
@@ -398,7 +396,7 @@ def profile_dataset(records, cell: float = DILATION_CELL_DEFAULT,
         ann = rec.annotations
         bin_label = ann.camera_bin if ann and ann.camera_bin else None
         if bin_label is None:
-            bin_label = metamod.bin_camera_pose(rec.camera_pos, table_center, bins)
+            bin_label = metamod.bin_camera_pose(rec.camera_pos, table_center)
         bins_set.add(bin_label)
         theta, phi = metamod.camera_angles(rec.camera_pos, table_center)
         windows.add((theta - half_ang, phi - half_ang, theta + half_ang, phi + half_ang))
@@ -413,7 +411,7 @@ def profile_dataset(records, cell: float = DILATION_CELL_DEFAULT,
         if ann and ann.object_color:
             colors.add(ann.object_color)
         if rec.instructions:
-            motions |= lexmod.motion_labels(rec.instructions, lexicon)
+            motions |= lexmod.motion_labels(rec.instructions)
         labs.add(rec.lab)
     return DatasetProfile(
         dvs={

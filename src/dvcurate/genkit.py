@@ -25,7 +25,7 @@ from .geometry import (
     quat_rotate,
     quat_slerp,
 )
-from .metadata import GRIPPER_WINDOW, GRIPPER_THRESHOLD, DemoRecord, Steps, smooth_gripper
+from .metadata import DemoRecord, Steps, gripper_transitions
 from .rng import substream
 from .taskspec import PredicateSequence, TextureSpec
 
@@ -84,9 +84,7 @@ def _value_noise(gen, width: int, height: int, octaves: int, persistence: float)
 _H_CHANNEL, _S_CHANNEL, _V_CHANNEL = range(3)
 
 
-def fractal_texture(spec: TextureSpec, width: int, height: int, seed: int,
-                    octaves: int = NOISE_OCTAVES,
-                    persistence: float = NOISE_PERSISTENCE) -> TextureRaster:
+def fractal_texture(spec: TextureSpec, width: int, height: int, seed: int) -> TextureRaster:
     """Render a fractal-noise HSV raster inside `spec`'s bounds.
 
     Each channel gets its own noise field from an independent substream of
@@ -97,9 +95,9 @@ def fractal_texture(spec: TextureSpec, width: int, height: int, seed: int,
         raise ValueError(f"fractal_texture needs a fractal TextureSpec, got {spec.mode!r}")
     if width < 1 or height < 1:
         raise ValueError("raster dimensions must be >= 1")
-    h_noise = _value_noise(substream(seed, _H_CHANNEL), width, height, octaves, persistence)
-    s_noise = _value_noise(substream(seed, _S_CHANNEL), width, height, octaves, persistence)
-    v_noise = _value_noise(substream(seed, _V_CHANNEL), width, height, octaves, persistence)
+    h_noise = _value_noise(substream(seed, _H_CHANNEL), width, height, NOISE_OCTAVES, NOISE_PERSISTENCE)
+    s_noise = _value_noise(substream(seed, _S_CHANNEL), width, height, NOISE_OCTAVES, NOISE_PERSISTENCE)
+    v_noise = _value_noise(substream(seed, _V_CHANNEL), width, height, NOISE_OCTAVES, NOISE_PERSISTENCE)
     h = spec.hue_from_unit(h_noise)
     s = np.clip(spec.s_min + s_noise * (spec.s_max - spec.s_min), spec.s_min, spec.s_max)
     v = np.clip(spec.v_min + v_noise * (spec.v_max - spec.v_min), spec.v_min, spec.v_max)
@@ -206,9 +204,6 @@ class LabConfig:
     lab: str
     objects: tuple
     receptacles: tuple
-    has_drawer: bool = True
-    has_microwave: bool = True
-    has_stove: bool = True
     has_coffee_machine: bool = False
     camera_bins: tuple = DEFAULT_CAMERA_BIN_LABELS
     spatial_combinations: int = DEFAULT_SPATIAL_COMBINATIONS
@@ -224,10 +219,6 @@ class LabConfig:
             raise ConfigError(f"{self.lab}: camera bins must have 5 entries, got {len(self.camera_bins)}")
         if self.spatial_combinations < 1:
             raise ConfigError(f"{self.lab}: spatial combinations must be >= 1")
-        if not (self.has_drawer and self.has_microwave):
-            raise ConfigError(f"{self.lab}: every lab needs a drawer and a microwave")
-        if not self.has_stove:
-            raise ConfigError(f"{self.lab}: every lab needs a stove")
 
 
 def default_labs(count: int = DEFAULT_LAB_COUNT,
@@ -334,12 +325,6 @@ class Segment:
     primitive: str
 
 
-def _transition_indices(gripper: np.ndarray, window: int, threshold: float) -> np.ndarray:
-    s = smooth_gripper(gripper, window)
-    above = s >= threshold
-    return np.flatnonzero(above[1:] != above[:-1]) + 1
-
-
 def _slice_steps(steps: Steps, a: int, b: int) -> Steps:
     return Steps(
         t=steps.t[a:b].copy(),
@@ -349,9 +334,7 @@ def _slice_steps(steps: Steps, a: int, b: int) -> Steps:
     )
 
 
-def decompose(demo: DemoRecord, goal: PredicateSequence,
-              window: int = GRIPPER_WINDOW,
-              threshold: float = GRIPPER_THRESHOLD) -> list[Segment]:
+def decompose(demo: DemoRecord, goal: PredicateSequence) -> list[Segment]:
     """Split a demo into one segment per goal primitive.
 
     Split points are the smoothed gripper open/close transitions: with
@@ -361,7 +344,7 @@ def decompose(demo: DemoRecord, goal: PredicateSequence,
     is anchored at the end-effector pose at its own transition c_i.
     """
     labels = goal.labels()
-    transitions = _transition_indices(demo.steps.gripper, window, threshold)
+    transitions, _ = gripper_transitions(demo.steps.gripper)
     if len(transitions) != len(labels):
         raise SegmentationMismatch(
             f"{len(transitions)} gripper transitions vs {len(labels)} goal primitives"

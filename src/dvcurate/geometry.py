@@ -19,8 +19,8 @@ def quat_norm(q) -> float:
     return float(np.linalg.norm(np.asarray(q, dtype=float)))
 
 
-def is_unit_quat(q, tol: float = UNIT_NORM_TOL) -> bool:
-    return abs(quat_norm(q) - 1.0) <= tol
+def is_unit_quat(q) -> bool:
+    return abs(quat_norm(q) - 1.0) <= UNIT_NORM_TOL
 
 
 def quat_mul(a, b) -> np.ndarray:
@@ -58,9 +58,6 @@ def quat_rotate(q, v) -> np.ndarray:
     u = np.array([x, y, z], dtype=float)
     v = np.asarray(v, dtype=float)
     return v + 2.0 * cross(u, cross(u, v) + w * v)
-
-
-quat_rotate_many = quat_rotate  # the (N, 3) form, kept by name
 
 
 def quat_slerp(a, b, t: float) -> np.ndarray:

@@ -11,7 +11,7 @@ per-word jitter) so the pipeline needs no model downloads.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.cluster.hierarchy import fcluster, linkage
@@ -23,6 +23,7 @@ from .rng import substream
 DEFAULT_CLUSTER_CUT = 0.35
 EMBEDDING_DIM = 16
 _EMBEDDING_SEED = 0xD1CE
+_EMBEDDING_JITTER = 0.15
 
 # surface form -> motion primitive label; two-word entries are verb + particle
 DEFAULT_VERB_MAP = {
@@ -67,35 +68,15 @@ _WORD_RE = re.compile(r"[a-z]+")
 _CLAUSE_SPLIT_RE = re.compile(r"[.;,]|\band\b|\bthen\b")
 
 
-@dataclass(frozen=True)
-class VerbLexicon:
-    """Manipulation-verb surface forms and the function words around them."""
-
-    verb_map: dict = field(default_factory=lambda: dict(DEFAULT_VERB_MAP))
-    prepositions: frozenset = _PREPOSITIONS
-    determiners: frozenset = _DETERMINERS
-    pronouns: frozenset = _PRONOUNS
-    conjunctions: frozenset = _CONJUNCTIONS
-
-    def match_verb(self, tokens: list[str], i: int) -> tuple[str, int] | None:
-        """Primitive label and index past the verb if tokens[i] starts one."""
-        if i + 1 < len(tokens):
-            two = f"{tokens[i]} {tokens[i + 1]}"
-            if two in self.verb_map:
-                return self.verb_map[two], i + 2
-        if tokens[i] in self.verb_map:
-            return self.verb_map[tokens[i]], i + 1
-        return None
-
-
-_DEFAULT_LEXICON: VerbLexicon | None = None
-
-
-def default_verb_lexicon() -> VerbLexicon:
-    global _DEFAULT_LEXICON
-    if _DEFAULT_LEXICON is None:
-        _DEFAULT_LEXICON = VerbLexicon()
-    return _DEFAULT_LEXICON
+def match_verb(tokens: list[str], i: int) -> tuple[str, int] | None:
+    """Primitive label and index past the verb if tokens[i] starts one."""
+    if i + 1 < len(tokens):
+        two = f"{tokens[i]} {tokens[i + 1]}"
+        if two in DEFAULT_VERB_MAP:
+            return DEFAULT_VERB_MAP[two], i + 2
+    if tokens[i] in DEFAULT_VERB_MAP:
+        return DEFAULT_VERB_MAP[tokens[i]], i + 1
+    return None
 
 
 # ---------------------------------------------------------------------------
@@ -150,17 +131,12 @@ class WordEmbeddings:
     different categories (and unknown words) are nearly orthogonal.
     """
 
-    def __init__(self, categories: dict[str, str] | None = None, dim: int = EMBEDDING_DIM,
-                 seed: int = _EMBEDDING_SEED, jitter: float = 0.15):
-        self.dim = dim
-        self.seed = seed
-        self.jitter = jitter
+    def __init__(self):
         self._table: dict[str, np.ndarray] = {}
-        cats = categories if categories is not None else _NOUN_CATEGORIES
-        for ci, (cat, words) in enumerate(sorted(cats.items())):
-            anchor = self._unit(substream(seed, 1, ci).standard_normal(dim))
+        for ci, (cat, words) in enumerate(sorted(_NOUN_CATEGORIES.items())):
+            anchor = self._unit(substream(_EMBEDDING_SEED, 1, ci).standard_normal(EMBEDDING_DIM))
             for word in words.split():
-                self._table[word] = self._unit(anchor + jitter * self._word_noise(word))
+                self._table[word] = self._unit(anchor + _EMBEDDING_JITTER * self._word_noise(word))
         self._vocab = frozenset(self._table)
 
     @staticmethod
@@ -171,7 +147,7 @@ class WordEmbeddings:
         key = 0
         for b in word.encode("utf-8"):
             key = (key * 257 + b) & 0xFFFFFFFFFFFFFFFF
-        return self._unit(substream(self.seed, 2, key).standard_normal(self.dim))
+        return self._unit(substream(_EMBEDDING_SEED, 2, key).standard_normal(EMBEDDING_DIM))
 
     def vector(self, word: str) -> np.ndarray:
         """Unit vector for `word`; unknown words get stable jitter-only vectors."""
@@ -218,30 +194,26 @@ def merge_instructions(instructions) -> list[str]:
     return clauses
 
 
-def _phrase_head(tokens: list[str], lexicon: VerbLexicon) -> str | None:
-    content = [t for t in tokens if t not in lexicon.determiners]
+def _phrase_head(tokens: list[str]) -> str | None:
+    content = [t for t in tokens if t not in _DETERMINERS]
     if not content:
         return None
     head = content[-1]
-    if head in lexicon.pronouns:
+    if head in _PRONOUNS:
         return None
     return head
 
 
-def _scan_clause(tokens: list[str], lexicon: VerbLexicon, out: list[ObjectCandidate]) -> bool:
+def _scan_clause(tokens: list[str], out: list[ObjectCandidate]) -> bool:
     """Append candidates from one clause; return whether any verb matched."""
 
     def is_boundary(tok: str) -> bool:
-        return (
-            tok in lexicon.prepositions
-            or tok in lexicon.conjunctions
-            or tok in lexicon.verb_map
-        )
+        return tok in _PREPOSITIONS or tok in _CONJUNCTIONS or tok in DEFAULT_VERB_MAP
 
     saw_verb = False
     i = 0
     while i < len(tokens):
-        m = lexicon.match_verb(tokens, i)
+        m = match_verb(tokens, i)
         if m is None:
             i += 1
             continue
@@ -251,30 +223,29 @@ def _scan_clause(tokens: list[str], lexicon: VerbLexicon, out: list[ObjectCandid
         while j < len(tokens) and not is_boundary(tokens[j]):
             phrase.append(tokens[j])
             j += 1
-        head = _phrase_head(phrase, lexicon)
+        head = _phrase_head(phrase)
         if head is not None:
             out.append(ObjectCandidate(head, direct=True, order=len(out)))
         # chained prepositional phrases yield indirect objects
-        while j < len(tokens) and tokens[j] in lexicon.prepositions:
+        while j < len(tokens) and tokens[j] in _PREPOSITIONS:
             j += 1
             phrase = []
             while j < len(tokens) and not is_boundary(tokens[j]):
                 phrase.append(tokens[j])
                 j += 1
-            head = _phrase_head(phrase, lexicon)
+            head = _phrase_head(phrase)
             if head is not None:
                 out.append(ObjectCandidate(head, direct=False, order=len(out)))
         i += 1
     return saw_verb
 
 
-def extract_candidates(instructions, lexicon: VerbLexicon | None = None) -> list[ObjectCandidate]:
-    lexicon = lexicon or default_verb_lexicon()
+def extract_candidates(instructions) -> list[ObjectCandidate]:
     clauses = merge_instructions(instructions)
     out: list[ObjectCandidate] = []
     saw_verb = False
     for clause in clauses:
-        saw_verb |= _scan_clause(clause.split(), lexicon, out)
+        saw_verb |= _scan_clause(clause.split(), out)
     if not saw_verb:
         raise NoVerbFound(f"no manipulation verb in {list(instructions)!r}")
     if not out:
@@ -282,17 +253,17 @@ def extract_candidates(instructions, lexicon: VerbLexicon | None = None) -> list
     return out
 
 
-def cluster_candidates(words: list[str], embeddings, cut: float = DEFAULT_CLUSTER_CUT) -> np.ndarray:
+def cluster_candidates(words: list[str]) -> np.ndarray:
     """Cluster ids per word via average-linkage clustering on cosine distance."""
     if len(words) == 1:
         return np.zeros(1, dtype=int)
+    embeddings = default_embeddings()
     vecs = np.array([embeddings.vector(w) for w in words])
     dists = np.clip(pdist(vecs, metric="cosine"), 0.0, None)
-    return fcluster(linkage(dists, method="average"), t=cut, criterion="distance")
+    return fcluster(linkage(dists, method="average"), t=DEFAULT_CLUSTER_CUT, criterion="distance")
 
 
-def extract_target_object(instructions, lexicon: VerbLexicon | None = None,
-                          embeddings=None, cut: float = DEFAULT_CLUSTER_CUT) -> str:
+def extract_target_object(instructions) -> str:
     """Canonical target-object noun for a set of instructions.
 
     Candidates are direct/indirect objects of manipulation verbs across the
@@ -301,9 +272,8 @@ def extract_target_object(instructions, lexicon: VerbLexicon | None = None,
     within it the candidate closest to the cluster centroid wins, with ties
     broken direct-first then first-occurrence.
     """
-    embeddings = embeddings or default_embeddings()
-    cands = extract_candidates(instructions, lexicon)
-    labels = cluster_candidates([c.word for c in cands], embeddings, cut)
+    cands = extract_candidates(instructions)
+    labels = cluster_candidates([c.word for c in cands])
 
     def cluster_rank(cid: int) -> tuple:
         members = [c for c, l in zip(cands, labels) if l == cid]
@@ -315,6 +285,7 @@ def extract_target_object(instructions, lexicon: VerbLexicon | None = None,
 
     primary = min(set(labels.tolist()), key=cluster_rank)
     members = [c for c, l in zip(cands, labels) if l == primary]
+    embeddings = default_embeddings()
     vecs = np.array([embeddings.vector(c.word) for c in members])
     centroid = vecs.mean(axis=0)
     norm = np.linalg.norm(centroid)
@@ -329,15 +300,14 @@ def extract_target_object(instructions, lexicon: VerbLexicon | None = None,
     return members[best].word
 
 
-def motion_labels(instructions, lexicon: VerbLexicon | None = None) -> frozenset:
+def motion_labels(instructions) -> frozenset:
     """Set of motion-primitive labels whose verbs occur in the instructions."""
-    lexicon = lexicon or default_verb_lexicon()
     labels = set()
     for clause in merge_instructions(instructions):
         tokens = clause.split()
         i = 0
         while i < len(tokens):
-            m = lexicon.match_verb(tokens, i)
+            m = match_verb(tokens, i)
             if m is not None:
                 labels.add(m[0])
                 i = m[1]

@@ -68,13 +68,13 @@ from .errors import (
     QuaternionNormError,
     SchemaError,
 )
-from .geometry import spherical_about
+from .geometry import UNIT_NORM_TOL, spherical_about
 
 GRIPPER_WINDOW = 15
 GRIPPER_THRESHOLD = 0.5
 CAMERA_BIN_POLAR_WIDTH = 15.0
 CAMERA_BIN_AZIMUTH_WIDTH = 30.0
-QUAT_NORM_TOL = 1e-6
+QUAT_NORM_TOL = UNIT_NORM_TOL
 # Bytes of lines validated together.  Small on purpose: a chunk's decoded
 # dicts stay alive until its records are built, and while one chunk's live
 # containers stay under CPython's generation-0 threshold (700) the cyclic GC
@@ -521,39 +521,42 @@ def smooth_gripper(gripper: np.ndarray, window: int = GRIPPER_WINDOW) -> np.ndar
     return (csum[hi + 1] - csum[lo]) / (hi - lo + 1)
 
 
-def first_close_index(gripper: np.ndarray, window: int = GRIPPER_WINDOW,
-                      threshold: float = GRIPPER_THRESHOLD) -> int | None:
+def gripper_transitions(gripper: np.ndarray) -> tuple[np.ndarray, int]:
+    """Every crossing of the smoothed signal at GRIPPER_THRESHOLD.
+
+    Returns the indices i >= 1 where the smoothed signal lies on the other
+    side of the threshold than at i - 1, and the position in that array of
+    the first up-crossing: crossings alternate in direction, so it is 1 when
+    the signal starts closed and 0 otherwise.
+    """
+    above = smooth_gripper(gripper) >= GRIPPER_THRESHOLD
+    return np.flatnonzero(above[1:] != above[:-1]) + 1, int(above[:1].any())
+
+
+def first_close_index(gripper: np.ndarray) -> int | None:
     """Index of the first up-crossing of the smoothed signal, if any."""
-    s = smooth_gripper(gripper, window)
-    above = s >= threshold
-    crossings = np.flatnonzero(above[1:] & ~above[:-1])
-    return int(crossings[0] + 1) if crossings.size else None
+    crossings, first_up = gripper_transitions(gripper)
+    return int(crossings[first_up]) if first_up < len(crossings) else None
 
 
-def first_release_index(gripper: np.ndarray, window: int = GRIPPER_WINDOW,
-                        threshold: float = GRIPPER_THRESHOLD) -> int | None:
-    """Index of the first down-crossing after the first close, if any."""
-    close = first_close_index(gripper, window, threshold)
-    if close is None:
-        return None
-    s = smooth_gripper(gripper, window)
-    above = s >= threshold
-    downs = np.flatnonzero(~above[1:] & above[:-1]) + 1
-    downs = downs[downs > close]
-    return int(downs[0]) if downs.size else None
+def first_release_index(gripper: np.ndarray) -> int | None:
+    """Index of the first down-crossing after the first close, if any: the
+    crossing right after it."""
+    crossings, first_up = gripper_transitions(gripper)
+    return int(crossings[first_up + 1]) if first_up + 1 < len(crossings) else None
 
 
-def extract_object_position(steps: Steps, window: int = GRIPPER_WINDOW) -> tuple[float, float, float] | None:
+def extract_object_position(steps: Steps) -> tuple[float, float, float] | None:
     """End-effector position at the first smoothed gripper close, if any."""
-    idx = first_close_index(steps.gripper, window)
+    idx = first_close_index(steps.gripper)
     if idx is None:
         return None
     return tuple(float(v) for v in steps.ee_pos[idx])
 
 
-def extract_release_position(steps: Steps, window: int = GRIPPER_WINDOW) -> tuple[float, float, float] | None:
+def extract_release_position(steps: Steps) -> tuple[float, float, float] | None:
     """End-effector position at the first release after a close, if any."""
-    idx = first_release_index(steps.gripper, window)
+    idx = first_release_index(steps.gripper)
     if idx is None:
         return None
     return tuple(float(v) for v in steps.ee_pos[idx])
@@ -610,24 +613,28 @@ def bin_camera_pose(camera_pos, table_center=(0.0, 0.0, 0.0),
     return UNBINNED
 
 
+def _camera_bin(row) -> CameraBin:
+    label = row["label"]
+    if not isinstance(label, str):
+        raise TypeError(f"label {label!r} is not a string")
+    angles = (float(row["theta_center"]), float(row["phi_center"]),
+              float(row.get("theta_width", CAMERA_BIN_POLAR_WIDTH)),
+              float(row.get("phi_width", CAMERA_BIN_AZIMUTH_WIDTH)))
+    if not all(math.isfinite(v) for v in angles):
+        raise ValueError(f"bin {label!r} has a non-finite centre or width")
+    return CameraBin(label, *angles)
+
+
 def load_bin_table(path) -> tuple[CameraBin, ...]:
     """Read a camera-bin table from JSON: a list of
-    {"label","theta_center","phi_center","theta_width","phi_width"}."""
+    {"label","theta_center","phi_center","theta_width","phi_width"} with a
+    string label and finite angles."""
     with open(path, encoding="utf-8") as fh:
         try:
             rows = json.load(fh)
             if not isinstance(rows, list):
                 raise TypeError(f"expected a list of bins, got {type(rows).__name__}")
-            return tuple(
-                CameraBin(
-                    label=row["label"],
-                    theta_center=float(row["theta_center"]),
-                    phi_center=float(row["phi_center"]),
-                    theta_width=float(row.get("theta_width", CAMERA_BIN_POLAR_WIDTH)),
-                    phi_width=float(row.get("phi_width", CAMERA_BIN_AZIMUTH_WIDTH)),
-                )
-                for row in rows
-            )
+            return tuple(_camera_bin(row) for row in rows)
         except (KeyError, TypeError, ValueError) as exc:
             raise InputError(f"bad camera-bin table {path}: {exc!r}") from None
 
@@ -704,9 +711,10 @@ class HttpColorAnnotator:
                 resp = self.session.post(self.url, json=payload, timeout=self.timeout)
                 resp.raise_for_status()
                 body = resp.json()
-                if "color" not in body:
-                    raise AnnotatorUnavailable("annotator response lacks 'color'")
-                return str(body["color"])
+                color = body.get("color") if isinstance(body, dict) else None
+                if not isinstance(color, str):
+                    raise AnnotatorUnavailable("annotator response lacks 'color' or it is not a string")
+                return color
             except (requests.RequestException, ValueError, AnnotatorUnavailable) as exc:
                 last = exc
         raise AnnotatorUnavailable(f"annotator failed after {self.retries} tries: {last}")
@@ -722,9 +730,7 @@ def annotate_color(record: DemoRecord, annotator) -> str:
 
 def annotate_record(record: DemoRecord, annotator=None,
                     table_center=(0.0, 0.0, 0.0),
-                    bins: tuple[CameraBin, ...] = DEFAULT_CAMERA_BINS,
-                    lexicon=None, embeddings=None,
-                    cut: float = lexmod.DEFAULT_CLUSTER_CUT) -> DemoRecord:
+                    bins: tuple[CameraBin, ...] = DEFAULT_CAMERA_BINS) -> DemoRecord:
     """Return a copy of `record` with derived annotations filled in.
 
     Fields that cannot be derived (no verbs in instructions, no gripper close,
@@ -733,7 +739,7 @@ def annotate_record(record: DemoRecord, annotator=None,
     target = None
     if record.instructions:
         try:
-            target = lexmod.extract_target_object(record.instructions, lexicon, embeddings, cut)
+            target = lexmod.extract_target_object(record.instructions)
         except (NoVerbFound, NoObjectFound):
             target = None
     position = extract_object_position(record.steps)

@@ -179,7 +179,7 @@ def _columns(rows: list) -> np.ndarray:
     return np.ascontiguousarray(np.asarray(rows, dtype=np.float64).reshape(len(rows), 3).T)
 
 
-def build_index(records, lexicon=None) -> DemoIndex:
+def build_index(records) -> DemoIndex:
     """Build a DemoIndex from an iterable of annotated DemoRecords.
 
     Records lacking an annotation are indexed as non-matching for the filters
@@ -217,7 +217,7 @@ def build_index(records, lexicon=None) -> DemoIndex:
             missing["object_color"].append(rec.id)
         labels = motion_memo.get(rec.instructions)
         if labels is None:
-            labels = lexmod.motion_labels(rec.instructions, lexicon) if rec.instructions else frozenset()
+            labels = lexmod.motion_labels(rec.instructions) if rec.instructions else frozenset()
             motion_memo[rec.instructions] = labels
         if labels:
             for label in labels:

@@ -394,6 +394,8 @@ def _side_file(tmp_path, data):
         ("table-center", "InputError"),
         ("bin-table-bad-json", "InputError"),
         ("bin-table-object", "InputError"),
+        ("bin-table-number-label", "InputError"),
+        ("bin-table-nan-centre", "InputError"),
         ("annotator-retries", "InputError"),
         ("anchors-bad-json", "InputError"),
         ("profile-camera-at-center", "DegeneratePose"),
@@ -405,6 +407,11 @@ def _side_file(tmp_path, data):
         ("spec-not-utf8", "UnicodeDecode"),
         ("synth-without-goal", "InputError"),
         ("synth-empty-corpus", "EmptyDataset"),
+        ("synth-fewer-anchors-than-primitives", "InputError"),
+        ("synth-more-anchors-than-primitives", "InputError"),
+        ("synth-nan-anchor-pos", "InputError"),
+        ("synth-infinite-anchor-pos", "InputError"),
+        ("synth-nan-anchor-quat", "InputError"),
         ("profile-number-camera-bin", "SchemaError"),
         ("ingest-list-target-object", "SchemaError"),
         ("ingest-deeply-nested", "SchemaError"),
@@ -414,10 +421,16 @@ def _side_file(tmp_path, data):
 def test_bad_inputs_exit_1_with_a_report(capsys, tmp_path, monkeypatch, corpus, case, error):
     out = str(tmp_path / "out.jsonl")
 
-    def anchors():
+    def anchors(count=2, pos=(0.1, 0.0, 0.0), quat=(1, 0, 0, 0)):
         path = tmp_path / "anchors.json"
-        path.write_text(json.dumps([{"pos": [0.1, 0.0, 0.0], "quat": [1, 0, 0, 0]}] * 2))
+        path.write_text(json.dumps([{"pos": list(pos), "quat": list(quat)}] * count))
         return str(path)
+
+    def synth(anchors_file):
+        return ["gen", "synth", "--demos", corpus, "--goal", "pick,place", "--anchors", anchors_file,
+                "--out", out]
+
+    nan, inf = float("nan"), float("inf")
 
     argv = {
         "table-center": lambda: ["annotate", corpus, "--out", out, "--table-center", "a,b"],
@@ -425,6 +438,10 @@ def test_bad_inputs_exit_1_with_a_report(capsys, tmp_path, monkeypatch, corpus, 
                                        "--bin-table", _side_file(tmp_path, "[{")],
         "bin-table-object": lambda: ["annotate", corpus, "--out", out,
                                      "--bin-table", _side_file(tmp_path, '{"label": "x"}')],
+        "bin-table-number-label": lambda: ["annotate", corpus, "--out", out, "--bin-table", _side_file(
+            tmp_path, '[{"label": 7, "theta_center": 45, "phi_center": 0}]')],
+        "bin-table-nan-centre": lambda: ["annotate", corpus, "--out", out, "--bin-table", _side_file(
+            tmp_path, '[{"label": "x", "theta_center": NaN, "phi_center": 0}]')],
         "annotator-retries": lambda: ["annotate", corpus, "--out", out, "--http-annotator"],
         "anchors-bad-json": lambda: ["gen", "synth", "--demos", corpus, "--goal", "pick,place",
                                      "--anchors", _side_file(tmp_path, "not json"), "--out", out],
@@ -443,6 +460,11 @@ def test_bad_inputs_exit_1_with_a_report(capsys, tmp_path, monkeypatch, corpus, 
                                        "--out", out],
         "synth-empty-corpus": lambda: ["gen", "synth", "--demos", _side_file(tmp_path, ""),
                                        "--goal", "pick,place", "--anchors", anchors(), "--out", out],
+        "synth-fewer-anchors-than-primitives": lambda: synth(anchors(count=1)),
+        "synth-more-anchors-than-primitives": lambda: synth(anchors(count=3)),
+        "synth-nan-anchor-pos": lambda: synth(anchors(pos=(0.1, nan, 0.0))),
+        "synth-infinite-anchor-pos": lambda: synth(anchors(pos=(inf, 0.0, 0.0))),
+        "synth-nan-anchor-quat": lambda: synth(anchors(quat=(nan, 0, 0, 0))),
         "profile-number-camera-bin": lambda: ["profile", write_jsonl(tmp_path / "c.jsonl", [
             demo_row(annotations={"camera_bin": 7, "target_object": [1, 2]})])],
         "ingest-list-target-object": lambda: ["ingest", write_jsonl(tmp_path / "c.jsonl", [
@@ -706,10 +728,17 @@ def fuzz_files(tmp_path_factory):
         "anchors": put("anchors.json", json.dumps([{"pos": [0.1, 0.0, 0.0], "quat": [1, 0, 0, 0]},
                                                    {"pos": [0.3, 0.2, 0.0], "quat": [1, 0, 0, 0]}])),
         "anchors-bad": put("anchors-bad.json", '[{"pos": [1]}]'),
+        "anchors-one": put("anchors-one.json",
+                           json.dumps([{"pos": [0.1, 0.0, 0.0], "quat": [1, 0, 0, 0]}])),
+        "anchors-nan": put("anchors-nan.json",
+                           json.dumps([{"pos": [0.1, float("nan"), 0.0], "quat": [1, 0, 0, 0]},
+                                       {"pos": [0.3, 0.2, 0.0], "quat": [1, 0, 0, 0]}])),
         "bins": put("bins.json", json.dumps([{"label": "all", "theta_center": 45.0,
                                               "phi_center": 0.0, "theta_width": 90.0,
                                               "phi_width": 360.0}])),
         "bins-bad": put("bins-bad.json", '{"label": "x"}'),
+        "bins-number-label": put("bins-number-label.json", json.dumps([{"label": 7, "theta_center": 45.0,
+                                                                        "phi_center": 0.0}])),
         "out": str(d / "out.txt"),
         "out-in-missing-dir": str(d / "no-such-dir" / "out.txt"),
     }

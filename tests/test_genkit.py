@@ -132,9 +132,6 @@ def test_default_labs_roster():
         {"receptacles": ()},
         {"camera_bins": ("agent-front",)},
         {"spatial_combinations": 0},
-        {"has_drawer": False},
-        {"has_microwave": False},
-        {"has_stove": False},
     ],
 )
 def test_lab_config_validation(changes):

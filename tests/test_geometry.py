@@ -49,7 +49,7 @@ def test_rotation_preserves_length(q, v):
 @given(unit_quats(), st.lists(vectors(), min_size=1, max_size=8))
 def test_quat_rotate_many_matches_scalar(q, vs)  :
     pts = np.array(vs)
-    batch = geo.quat_rotate_many(q, pts)
+    batch = geo.quat_rotate(q, pts)
     single = np.array([geo.quat_rotate(q, v) for v in vs])
     assert np.allclose(batch, single, atol=1e-12)
 
@@ -191,7 +191,7 @@ def test_rotations_match_np_cross_bytes():
         q = rng.normal(size=4)
         q /= np.linalg.norm(q)
         vs = rng.uniform(-2.0, 2.0, size=(n, 3))
-        assert geo.quat_rotate_many(q, vs).tobytes() == cross_quat_rotate_many(q, vs).tobytes()
+        assert geo.quat_rotate(q, vs).tobytes() == cross_quat_rotate_many(q, vs).tobytes()
         assert geo.quat_rotate(q, vs[0]).tobytes() == cross_quat_rotate(q, vs[0]).tobytes()
         eye = rng.uniform(-2.0, 2.0, size=3)
         assert geo.look_at_quat(eye, vs[0]).tobytes() == cross_look_at_quat(eye, vs[0]).tobytes()

@@ -69,12 +69,11 @@ def test_candidates_skip_pronouns_and_determiners():
 
 
 def test_phrasal_verb_preferred_over_bare():
-    lex = lexicon.default_verb_lexicon()
-    assert lex.match_verb("turn on the stove".split(), 0) == ("turnOn", 2)
-    assert lex.match_verb("turn off the lamp".split(), 0) == ("turnOff", 2)
-    assert lex.match_verb("pick up the cup".split(), 0) == ("pick", 2)
-    assert lex.match_verb("pick the cup".split(), 0) == ("pick", 1)
-    assert lex.match_verb("wave the flag".split(), 0) is None
+    assert lexicon.match_verb("turn on the stove".split(), 0) == ("turnOn", 2)
+    assert lexicon.match_verb("turn off the lamp".split(), 0) == ("turnOff", 2)
+    assert lexicon.match_verb("pick up the cup".split(), 0) == ("pick", 2)
+    assert lexicon.match_verb("pick the cup".split(), 0) == ("pick", 1)
+    assert lexicon.match_verb("wave the flag".split(), 0) is None
 
 
 def test_motion_labels_across_clauses():
@@ -103,16 +102,14 @@ def test_embeddings_unit_norm_and_deterministic():
 
 
 def test_same_category_words_cluster_together():
-    emb = lexicon.default_embeddings()
-    labels = lexicon.cluster_candidates(["mug", "cup", "plate", "marker", "pen"], emb)
+    labels = lexicon.cluster_candidates(["mug", "cup", "plate", "marker", "pen"])
     assert labels[0] == labels[1] == labels[2]
     assert labels[3] == labels[4]
     assert labels[0] != labels[3]
 
 
 def test_unknown_words_do_not_join_category_clusters():
-    emb = lexicon.default_embeddings()
-    labels = lexicon.cluster_candidates(["mug", "cup", "zzgibberish"], emb)
+    labels = lexicon.cluster_candidates(["mug", "cup", "zzgibberish"])
     assert labels[0] == labels[1]
     assert labels[2] != labels[0]
 

@@ -4,6 +4,7 @@ import json
 import struct
 import threading
 from http.server import BaseHTTPRequestHandler, HTTPServer
+from unittest import mock
 
 import numpy as np
 import orjson
@@ -16,6 +17,7 @@ from dvcurate.errors import (
     AnnotatorUnavailable,
     DegeneratePose,
     DVCurateError,
+    InputError,
     QuaternionNormError,
     SchemaError,
 )
@@ -478,6 +480,18 @@ def test_close_index_matches_brute_oracle(g):
     assert got == want
 
 
+@given(st.lists(st.sampled_from([0.0, 0.25, 0.5, 0.75, 1.0]), min_size=1, max_size=80))
+@settings(max_examples=300)
+def test_gripper_transitions_match_brute_oracle(g):
+    crossings, first_up = metadata.gripper_transitions(np.array(g))
+    want = brute_transitions(g)
+    assert crossings.tolist() == want
+    s = brute_smooth(g)
+    assert first_up == int(s[0] >= metadata.GRIPPER_THRESHOLD)
+    ups = [i for i in want if s[i] >= metadata.GRIPPER_THRESHOLD]
+    assert crossings[first_up:first_up + 1].tolist() == ups[:1]
+
+
 def test_smoothed_step_crossing_frozen():
     # A hard 0->1 step at index 40 smooths to a crossing at 40: the centered
     # 15-step window first covers >= 8 closed samples there.
@@ -575,6 +589,25 @@ def test_load_bin_table(tmp_path):
     assert metadata.bin_camera_pose(pos, bins=bins) == "top"
 
 
+@pytest.mark.parametrize(
+    "row",
+    [
+        {"label": 7, "theta_center": 45.0, "phi_center": 0.0},
+        {"label": None, "theta_center": 45.0, "phi_center": 0.0},
+        {"label": "x", "theta_center": float("nan"), "phi_center": 0.0},
+        {"label": "x", "theta_center": 45.0, "phi_center": float("inf")},
+        {"label": "x", "theta_center": 45.0, "phi_center": 0.0, "theta_width": float("nan")},
+        {"label": "x", "theta_center": 45.0, "phi_center": 0.0, "phi_width": float("-inf")},
+    ],
+)
+def test_load_bin_table_rejects_labels_that_are_not_strings_and_non_finite_angles(tmp_path, row):
+    # a number label would be written into camera_bin, which ingest refuses
+    path = tmp_path / "bins.json"
+    path.write_text(json.dumps([row]))
+    with pytest.raises(InputError, match="bad camera-bin table"):
+        metadata.load_bin_table(path)
+
+
 def test_table_center_of():
     assert metadata.table_center_of("0,0,0") == (0.0, 0.0, 0.0)
     assert metadata.table_center_of(" 0.5 , -0.25 , 0.1 ") == (0.5, -0.25, 0.1)
@@ -659,6 +692,31 @@ def test_http_annotator_retries_replies_without_color(annotator_server):
     _AnnotatorHandler.blank_first = 99
     with pytest.raises(AnnotatorUnavailable, match="after 3 tries.*lacks 'color'"):
         annotator.color_of(make_record(rid="r"))
+
+
+class _ReplySession:
+    """A requests session whose every POST answers 200 with one JSON body."""
+
+    def __init__(self, body):
+        self.body = body
+        self.posts = 0
+
+    def post(self, url, json, timeout):
+        self.posts += 1
+        reply = mock.Mock()
+        reply.json.return_value = self.body
+        return reply
+
+
+@pytest.mark.parametrize("body", [5, "colorless", ["color"], None, {"color": None}, {"color": 5}])
+def test_http_annotator_retries_replies_that_hold_no_color_string(body):
+    session = _ReplySession(body)
+    annotator = metadata.HttpColorAnnotator(url="http://annotator.invalid", retries=2,
+                                            session=session)
+    with pytest.raises(AnnotatorUnavailable, match="after 2 tries"):
+        annotator.color_of(make_record(rid="r"))
+    assert session.posts == 2
+    assert metadata.annotate_record(make_record(rid="r"), annotator).annotations.object_color is None
 
 
 def test_http_annotator_exhausts_retries(annotator_server):
