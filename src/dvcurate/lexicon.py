@@ -6,10 +6,17 @@ average-linkage agglomerative clustering on cosine distance between word
 vectors, and returns the candidate nearest the primary cluster's centroid.
 Word vectors come from a small deterministic table (category anchors plus
 per-word jitter) so the pipeline needs no model downloads.
+
+Both instruction-derived labels (target object and motion labels) are pure
+functions of the instruction tuple, and a corpus repeats a few tuples across
+thousands of demos.  So each is computed once per distinct tuple per process
+and kept in a bounded LRU cache of _LABEL_CACHE_SIZE tuples; a failure
+(NoVerbFound, NoObjectFound) is not cached and raises on every call.
 """
 
 from __future__ import annotations
 
+import functools
 import re
 from dataclasses import dataclass
 
@@ -21,6 +28,7 @@ from .errors import NoObjectFound, NoVerbFound, UnrecognizedColor
 from .rng import substream
 
 DEFAULT_CLUSTER_CUT = 0.35
+_LABEL_CACHE_SIZE = 4096  # distinct instruction tuples whose labels are kept
 EMBEDDING_DIM = 16
 _EMBEDDING_SEED = 0xD1CE
 _EMBEDDING_JITTER = 0.15
@@ -270,8 +278,14 @@ def extract_target_object(instructions) -> str:
     merged clauses.  The primary cluster is the largest one (ties prefer the
     cluster holding the earliest direct object, then the earliest candidate);
     within it the candidate closest to the cluster centroid wins, with ties
-    broken direct-first then first-occurrence.
+    broken direct-first then first-occurrence.  Computed once per distinct
+    instruction tuple.
     """
+    return _target_object(tuple(instructions))
+
+
+@functools.lru_cache(maxsize=_LABEL_CACHE_SIZE)
+def _target_object(instructions: tuple[str, ...]) -> str:
     cands = extract_candidates(instructions)
     labels = cluster_candidates([c.word for c in cands])
 
@@ -301,7 +315,15 @@ def extract_target_object(instructions) -> str:
 
 
 def motion_labels(instructions) -> frozenset:
-    """Set of motion-primitive labels whose verbs occur in the instructions."""
+    """Set of motion-primitive labels whose verbs occur in the instructions.
+
+    Computed once per distinct instruction tuple.
+    """
+    return _motion_labels(tuple(instructions))
+
+
+@functools.lru_cache(maxsize=_LABEL_CACHE_SIZE)
+def _motion_labels(instructions: tuple[str, ...]) -> frozenset:
     labels = set()
     for clause in merge_instructions(instructions):
         tokens = clause.split()

@@ -48,6 +48,7 @@ color from a pluggable annotator, and the camera-pose bin.
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
 import os
@@ -125,6 +126,16 @@ def _schema(line: int, field: str, message: str) -> SchemaError:
     return SchemaError(line, field, message)
 
 
+# The types a JSON number decodes to.  A JSON string or true/false decodes to
+# str or bool, though `float()` and numpy read "0.1" and true as numbers.
+_NUMBER_TYPES = frozenset({int, float})
+
+
+def _numbers(values) -> bool:
+    """Whether every value was decoded from a JSON number."""
+    return set(map(type, values)) <= _NUMBER_TYPES
+
+
 def parse_record(obj: dict, line: int = 0) -> DemoRecord:
     """Validate one decoded JSON object into a DemoRecord."""
     try:
@@ -146,9 +157,9 @@ def parse_record(obj: dict, line: int = 0) -> DemoRecord:
         cam_quat = np.asarray(cam["quat"], dtype=float)
     except (KeyError, TypeError, ValueError) as exc:
         raise _schema(line, "camera_extrinsics", f"bad extrinsics: {exc}") from None
-    if cam_pos.shape != (3,) or not np.isfinite(cam_pos).all():
+    if cam_pos.shape != (3,) or not _numbers(cam["pos"]) or not np.isfinite(cam_pos).all():
         raise _schema(line, "camera_extrinsics.pos", "expected 3 finite numbers")
-    if cam_quat.shape != (4,):
+    if cam_quat.shape != (4,) or not _numbers(cam["quat"]):
         raise _schema(line, "camera_extrinsics.quat", "expected 4 numbers")
     cam_norm = math.sqrt(float(cam_quat @ cam_quat))
     if not abs(cam_norm - 1.0) <= QUAT_NORM_TOL:  # a NaN fails too
@@ -158,25 +169,29 @@ def parse_record(obj: dict, line: int = 0) -> DemoRecord:
     try:
         t_raw = [s["t"] for s in steps]
         ts = np.array(t_raw, dtype=np.int64)
-        ee_pos = np.array([s["ee_pos"] for s in steps], dtype=float)
-        ee_quat = np.array([s["ee_quat"] for s in steps], dtype=float)
-        gripper = np.array([s["gripper"] for s in steps], dtype=float)
+        pos_raw = [s["ee_pos"] for s in steps]
+        ee_pos = np.array(pos_raw, dtype=float)
+        quat_raw = [s["ee_quat"] for s in steps]
+        ee_quat = np.array(quat_raw, dtype=float)
+        grip_raw = [s["gripper"] for s in steps]
+        gripper = np.array(grip_raw, dtype=float)
     except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise _schema(line, "steps", f"bad step fields: {exc}") from None
     if not all(type(t) is int for t in t_raw):  # a JSON true is a bool, not a timestamp
         raise _schema(line, "steps.t", "timestamps must be integers")
     n = len(steps)
-    if ee_pos.shape != (n, 3) or not np.isfinite(ee_pos).all():
+    if (ee_pos.shape != (n, 3) or not _numbers(itertools.chain.from_iterable(pos_raw))
+            or not np.isfinite(ee_pos).all()):
         raise _schema(line, "steps.ee_pos", "expected 3 finite numbers per step")
-    if ee_quat.shape != (n, 4):
+    if ee_quat.shape != (n, 4) or not _numbers(itertools.chain.from_iterable(quat_raw)):
         raise _schema(line, "steps.ee_quat", "expected 4 numbers per step")
     norms = np.sqrt(np.einsum("ij,ij->i", ee_quat, ee_quat))
     err = np.abs(norms - 1.0)
     if not (err <= QUAT_NORM_TOL).all():
         bad = int(err.argmax())  # the first NaN, else the largest error
         raise QuaternionNormError(line, f"step {bad} quaternion norm {norms[bad]:.8f} != 1")
-    if not ((gripper >= 0.0) & (gripper <= 1.0)).all():
-        raise _schema(line, "gripper", "gripper values must lie in [0, 1]")
+    if not _numbers(grip_raw) or not ((gripper >= 0.0) & (gripper <= 1.0)).all():
+        raise _schema(line, "gripper", "gripper values must be numbers in [0, 1]")
     if n > 1 and np.diff(ts).min() <= 0:
         raise _schema(line, "steps.t", "timestamps must be strictly increasing")
 
@@ -218,16 +233,15 @@ def _bad_label(ann: dict) -> str | None:
 def _annotations(ann: dict) -> Annotations:
     pos = ann.get("object_position")
     if pos is not None:
-        x, y, z = map(float, pos)  # raises unless pos holds exactly three numbers
-        pos = (x, y, z)
+        x, y, z = pos  # raises unless pos holds exactly three values
+        if not _numbers(pos):
+            raise TypeError(f"non-number in {pos!r}")
+        pos = (float(x), float(y), float(z))
         if not all(map(math.isfinite, pos)):
             raise ValueError(f"non-finite coordinate in {list(pos)}")
-    return Annotations(
-        target_object=ann.get("target_object"),
-        object_position=pos,
-        object_color=ann.get("object_color"),
-        camera_bin=ann.get("camera_bin"),
-    )
+    # positional arguments: the batch reader builds one per record
+    return Annotations(ann.get("target_object"), pos, ann.get("object_color"),
+                       ann.get("camera_bin"))
 
 
 # Batch norms may sum in another order than parse_record's; a norm this close
@@ -245,9 +259,9 @@ def _parse_chunk(objs: list) -> list[DemoRecord] | None:
 
     Accepts only records that `parse_record` accepts and builds the records
     it would build, as row slices of chunk-wide arrays.  Anything unusual
-    (a missing key, a ragged or non-numeric array, a NaN, a non-integer `t`,
-    a norm near the tolerance) returns None and leaves the verdict to
-    `parse_record`.
+    (a missing key, a ragged array, a value that is not a JSON number, a NaN,
+    a non-integer `t`, a norm near the tolerance) returns None and leaves
+    the verdict to `parse_record`.
     """
     heads = []
     cam_pos, cam_quat, ts, ee_pos, ee_quat, gripper = [], [], [], [], [], []
@@ -276,25 +290,27 @@ def _parse_chunk(objs: list) -> list[DemoRecord] | None:
             offsets.append(len(ts))
             heads.append((rid, lab, tuple(instructions),
                           None if ann is None else _annotations(ann)))
-        cam_pos = np.array(cam_pos, dtype=float)
-        cam_quat = np.array(cam_quat, dtype=float)
-        if bool in map(type, ts):  # np.array would read true as 1
+        threes, fours = cam_pos + ee_pos, cam_quat + ee_quat
+        if set(map(len, threes)) != {3} or set(map(len, fours)) != {4}:
             return None
+        # every float of the chunk in one list: one type pass, one conversion
+        flat = [*itertools.chain.from_iterable(threes),
+                *itertools.chain.from_iterable(fours), *gripper]
+        if not _numbers(itertools.chain(flat, ts)):
+            return None
+        values = np.fromiter(flat, float, len(flat))
         ts = np.array(ts)  # int64 only when every t is an integer
-        ee_pos = np.array(ee_pos, dtype=float)
-        ee_quat = np.array(ee_quat, dtype=float)
-        gripper = np.array(gripper, dtype=float)
     except (KeyError, TypeError, ValueError, OverflowError):
         return None
-    m, n = len(heads), len(ts)
-    if (cam_pos.shape != (m, 3) or cam_quat.shape != (m, 4) or ts.dtype != np.int64
-            or ts.shape != (n,) or ee_pos.shape != (n, 3) or ee_quat.shape != (n, 4)
-            or gripper.shape != (n,)):
+    if ts.dtype != np.int64:
         return None
+    m, a = len(heads), 3 * len(threes)
+    b = a + 4 * len(fours)
+    threes, fours, gripper = values[:a].reshape(-1, 3), values[a:b].reshape(-1, 4), values[b:]
+    cam_pos, ee_pos, cam_quat, ee_quat = threes[:m], threes[m:], fours[:m], fours[m:]
     rising = np.diff(ts) > 0
     rising[np.array(offsets[1:-1], dtype=np.int64) - 1] = True  # record boundaries
-    if not (np.isfinite(cam_pos).all() and _unit_rows(cam_quat)
-            and np.isfinite(ee_pos).all() and _unit_rows(ee_quat)
+    if not (np.isfinite(threes).all() and _unit_rows(fours)
             and ((gripper >= 0.0) & (gripper <= 1.0)).all() and rising.all()):
         return None
     return [
@@ -622,13 +638,15 @@ def _camera_bin(row) -> CameraBin:
               float(row.get("phi_width", CAMERA_BIN_AZIMUTH_WIDTH)))
     if not all(math.isfinite(v) for v in angles):
         raise ValueError(f"bin {label!r} has a non-finite centre or width")
+    if not min(angles[2:]) > 0.0:  # such a bin matches no pose
+        raise ValueError(f"bin {label!r} has a width that is not positive")
     return CameraBin(label, *angles)
 
 
 def load_bin_table(path) -> tuple[CameraBin, ...]:
     """Read a camera-bin table from JSON: a list of
     {"label","theta_center","phi_center","theta_width","phi_width"} with a
-    string label and finite angles."""
+    string label, finite angles and positive widths."""
     with open(path, encoding="utf-8") as fh:
         try:
             rows = json.load(fh)

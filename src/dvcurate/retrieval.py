@@ -193,7 +193,6 @@ def build_index(records) -> DemoIndex:
     by_color: dict[str, list] = {}
     by_motion: dict[str, list] = {}
     missing = {"target_object": [], "object_position": [], "object_color": [], "motion": []}
-    motion_memo: dict[tuple[str, ...], frozenset[str]] = {}
     for rec in records:
         if rec.id in seen:
             raise DuplicateId(f"duplicate record id {rec.id!r}")
@@ -215,10 +214,7 @@ def build_index(records) -> DemoIndex:
             by_color.setdefault(ann.object_color, []).append(ordinal)
         else:
             missing["object_color"].append(rec.id)
-        labels = motion_memo.get(rec.instructions)
-        if labels is None:
-            labels = lexmod.motion_labels(rec.instructions) if rec.instructions else frozenset()
-            motion_memo[rec.instructions] = labels
+        labels = lexmod.motion_labels(rec.instructions) if rec.instructions else frozenset()
         if labels:
             for label in labels:
                 by_motion.setdefault(label, []).append(ordinal)

@@ -396,6 +396,7 @@ def _side_file(tmp_path, data):
         ("bin-table-object", "InputError"),
         ("bin-table-number-label", "InputError"),
         ("bin-table-nan-centre", "InputError"),
+        ("bin-table-zero-width", "InputError"),
         ("annotator-retries", "InputError"),
         ("anchors-bad-json", "InputError"),
         ("profile-camera-at-center", "DegeneratePose"),
@@ -442,6 +443,8 @@ def test_bad_inputs_exit_1_with_a_report(capsys, tmp_path, monkeypatch, corpus, 
             tmp_path, '[{"label": 7, "theta_center": 45, "phi_center": 0}]')],
         "bin-table-nan-centre": lambda: ["annotate", corpus, "--out", out, "--bin-table", _side_file(
             tmp_path, '[{"label": "x", "theta_center": NaN, "phi_center": 0}]')],
+        "bin-table-zero-width": lambda: ["annotate", corpus, "--out", out, "--bin-table", _side_file(
+            tmp_path, '[{"label": "x", "theta_center": 45, "phi_center": 0, "theta_width": 0}]')],
         "annotator-retries": lambda: ["annotate", corpus, "--out", out, "--http-annotator"],
         "anchors-bad-json": lambda: ["gen", "synth", "--demos", corpus, "--goal", "pick,place",
                                      "--anchors", _side_file(tmp_path, "not json"), "--out", out],
@@ -739,6 +742,9 @@ def fuzz_files(tmp_path_factory):
         "bins-bad": put("bins-bad.json", '{"label": "x"}'),
         "bins-number-label": put("bins-number-label.json", json.dumps([{"label": 7, "theta_center": 45.0,
                                                                         "phi_center": 0.0}])),
+        "bins-zero-width": put("bins-zero-width.json", json.dumps([{"label": "x", "theta_center": 45.0,
+                                                                    "phi_center": 0.0,
+                                                                    "theta_width": -90.0}])),
         "out": str(d / "out.txt"),
         "out-in-missing-dir": str(d / "no-such-dir" / "out.txt"),
     }

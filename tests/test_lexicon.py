@@ -1,9 +1,12 @@
 from __future__ import annotations
 
 import json
+import random
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dvcurate import lexicon
 from dvcurate.errors import NoObjectFound, NoVerbFound, UnrecognizedColor
@@ -74,6 +77,91 @@ def test_phrasal_verb_preferred_over_bare():
     assert lexicon.match_verb("pick up the cup".split(), 0) == ("pick", 2)
     assert lexicon.match_verb("pick the cup".split(), 0) == ("pick", 1)
     assert lexicon.match_verb("wave the flag".split(), 0) is None
+
+
+# ---------------------------------------------------------------------------
+# cached labels against the uncached rule
+
+_VERBS = sorted(lexicon.DEFAULT_VERB_MAP)
+_NOUNS = sorted(w for words in lexicon._NOUN_CATEGORIES.values() for w in words.split())
+_NOUNS.append("zzgibberish")  # a word no category holds
+_PREPOSITIONS = sorted(lexicon._PREPOSITIONS)
+_PRONOUNS = sorted(lexicon._PRONOUNS)
+
+
+def _labels():
+    """(public function, its cached helper) pairs; a helper's __wrapped__ is the uncached rule."""
+    return ((lexicon.extract_target_object, lexicon._target_object),
+            (lexicon.motion_labels, lexicon._motion_labels))
+
+
+def _clause(draw_word) -> str:
+    """A verb-object-preposition-object clause; any part may be missing or a pronoun."""
+    words = []
+    for vocab in (_VERBS, ["the"], _NOUNS + _PRONOUNS, _PREPOSITIONS, _NOUNS + _PRONOUNS):
+        word = draw_word(vocab)
+        if word is not None:
+            words.append(word)
+    return " ".join(words)
+
+
+@st.composite
+def _instructions(draw) -> list[str]:
+    kind = draw(st.sampled_from(("any", "verbless", "pronoun-only")))
+
+    def draw_word(vocab):
+        if kind == "verbless" and vocab is _VERBS:
+            return None
+        if kind == "pronoun-only" and vocab is not _VERBS:
+            vocab = _PRONOUNS
+        return draw(st.none() | st.sampled_from(vocab))
+
+    clauses = [_clause(draw_word) for _ in range(draw(st.integers(0, 3)))]
+    return draw(st.lists(st.sampled_from(clauses), max_size=3)) if clauses else []
+
+
+def _outcome(fn, instructions):
+    """The result of `fn(instructions)`, or the class and message it raised."""
+    try:
+        return fn(instructions)
+    except (NoVerbFound, NoObjectFound) as exc:
+        return type(exc), str(exc)
+
+
+@settings(max_examples=300, deadline=None)
+@given(instructions=_instructions())
+def test_cached_labels_match_the_uncached_rule(instructions):
+    for cached, helper in _labels():
+        want = _outcome(helper.__wrapped__, tuple(instructions))
+        # list and tuple inputs, first and repeated calls; failures raise each time
+        for arg in (instructions, tuple(instructions), list(instructions), tuple(instructions)):
+            assert _outcome(cached, arg) == want
+
+
+def test_failures_are_not_cached():
+    lexicon._target_object.cache_clear()
+    for instructions in (["wave at the camera"], ["pick it"], []):
+        for _ in range(2):
+            with pytest.raises((NoVerbFound, NoObjectFound)):
+                lexicon.extract_target_object(instructions)
+    assert lexicon._target_object.cache_info().currsize == 0
+
+
+def test_cached_labels_hold_after_the_cache_turns_over():
+    rng = random.Random(11)
+    tuples = set()
+    while len(tuples) < lexicon._LABEL_CACHE_SIZE + 400:
+        tuples.add(tuple(_clause(lambda vocab: rng.choice(vocab + [None]))
+                         for _ in range(rng.randint(1, 2))))
+    tuples = sorted(tuples)
+    for cached, helper in _labels():
+        helper.cache_clear()
+        want = [_outcome(helper.__wrapped__, t) for t in tuples]
+        assert [_outcome(cached, t) for t in tuples] == want
+        info = helper.cache_info()
+        assert info.currsize == lexicon._LABEL_CACHE_SIZE < info.misses  # some were evicted
+        # the first tuples were evicted; computed again they still agree
+        assert [_outcome(cached, list(t)) for t in tuples[:200]] == want[:200]
 
 
 def test_motion_labels_across_clauses():

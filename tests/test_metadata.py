@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dvcurate import metadata
+from dvcurate import lexicon, metadata
 from dvcurate.errors import (
     AnnotatorUnavailable,
     DegeneratePose,
@@ -54,7 +54,7 @@ def _mutate(**changes):
         parts = key.split(".")
         obj = row
         for p in parts[:-1]:
-            obj = obj[p]
+            obj = obj[int(p)] if isinstance(obj, list) else obj[p]
         if value is _DELETE:
             del obj[parts[-1]]
         else:
@@ -86,6 +86,16 @@ _DELETE = object()
         ({"annotations": {"object_color": {"r": 1}}}, "annotations.object_color"),
         ({"annotations": {"camera_bin": 7}}, "annotations.camera_bin"),
         ({"annotations": {"camera_bin": 0.5, "target_object": [1]}}, "annotations.target_object"),
+        # numeric fields take JSON numbers only, not strings numpy could read or booleans
+        ({"steps.5.ee_pos": ["0.1", 0.2, 0.3]}, "steps.ee_pos"),
+        ({"steps.5.ee_pos": [0.1, True, 0.3]}, "steps.ee_pos"),
+        ({"steps.5.ee_quat": [1, 0, False, 0]}, "steps.ee_quat"),
+        ({"steps.5.gripper": "1"}, "gripper"),
+        ({"steps.5.gripper": False}, "gripper"),
+        ({"camera_extrinsics.pos": ["1.0", 0.0, "1"]}, "camera_extrinsics.pos"),
+        ({"camera_extrinsics.quat": [True, 0, 0, 0]}, "camera_extrinsics.quat"),
+        ({"annotations": {"object_position": ["0.1", True, "3e-1"]}}, "annotations.object_position"),
+        ({"annotations": {"object_position": [0.1, 0.2, False]}}, "annotations.object_position"),
     ],
 )
 def test_parse_record_schema_errors(changes, field_hint):
@@ -103,6 +113,15 @@ def test_parse_record_gripper_range_and_time_order():
     row = demo_row()
     row["steps"][5]["t"] = row["steps"][4]["t"]
     with pytest.raises(SchemaError, match="strictly increasing"):
+        metadata.parse_record(row)
+
+
+def test_parse_record_refuses_a_list_for_every_gripper_value():
+    # np.array reads one-element lists as an (n, 1) gripper column
+    row = demo_row(n=10)
+    for step in row["steps"]:
+        step["gripper"] = [step["gripper"]]
+    with pytest.raises(SchemaError, match="gripper values must be numbers"):
         metadata.parse_record(row)
 
 
@@ -279,11 +298,20 @@ _FAULTS = {
     "target_object of 2**64": lambda row: row.update(annotations={"target_object": 2**64}),
     "number camera_bin": lambda row: row.update(annotations={"camera_bin": 7}),
     "list object_color": lambda row: row.update(annotations={"object_color": ["red"]}),
+    # numpy and float() read these as numbers; the schema refuses them
+    "string ee_pos": lambda row: _last_step(row, ee_pos=["0.1", 0.2, 0.3]),
+    "bool ee_pos": lambda row: _last_step(row, ee_pos=[0.1, True, 0.3]),
+    "string gripper": lambda row: row["steps"][0].update(gripper="1"),
+    "bool camera quat": lambda row: row["camera_extrinsics"].update(quat=[True, 0, 0, 0]),
+    "string object_position": lambda row: row.update(
+        annotations={"object_position": ["0.1", True, "3e-1"]}),
     # 600 lies past _MAX_FAST_DEPTH and within the stdlib's recursion limit; 1200 past both
     "nested 600 deep in an extra field": lambda line: _nest_extra(line, 600),
     "nested 1200 deep in an extra field": lambda line: _nest_extra(line, 1200),
     "unclosed 2000 deep in an extra field": lambda line: _nest_extra(line, 2000, closed=False),
 }
+_NON_NUMBER_FAULTS = ("string ee_pos", "bool ee_pos", "string gripper", "bool camera quat",
+                      "string object_position")
 # faults on the encoded line rather than on the row
 _LINE_FAULTS = ("bad json", "non-utf8", "utf-8 BOM", "nested 600 deep in an extra field",
                 "nested 1200 deep in an extra field", "unclosed 2000 deep in an extra field")
@@ -348,6 +376,8 @@ def test_chunked_reader_matches_line_by_line(tmp_path, case):
     want, want_err = _line_by_line(path)
     _assert_same_records(got, want)
     assert type(got_err) is type(want_err)
+    if case[0] in _NON_NUMBER_FAULTS:
+        assert isinstance(want_err, SchemaError) and want_err.line == target
     if want_err is not None:
         assert str(got_err) == str(want_err)
         assert got_err.report() == want_err.report()
@@ -426,6 +456,20 @@ def test_a_chunk_orjson_refused_is_batch_checked_once_on_the_stdlib_objects(tmp_
     assert single == []
     assert got_err is None and len(got) == 5
     _assert_same_records(got, want)
+
+
+def test_true_and_false_outside_numeric_fields_keep_the_batch_path(tmp_path, monkeypatch):
+    def fault(row):
+        row.update(success=True, instructions=["put the false teeth in the cup"])
+        row["steps"][0].update(contact=False)
+
+    path = _one_chunk(tmp_path, fault)
+    want, _ = _line_by_line(path)
+    single = _count_calls(monkeypatch, "parse_record")
+    got, got_err = _chunked(path)
+    assert single == [] and got_err is None
+    _assert_same_records(got, want)
+    assert all(r.steps.t.base is not None for r in got)  # built by the batch path
 
 
 def _json_depth(value) -> int:
@@ -608,6 +652,16 @@ def test_load_bin_table_rejects_labels_that_are_not_strings_and_non_finite_angle
         metadata.load_bin_table(path)
 
 
+@pytest.mark.parametrize("width", [{"theta_width": 0.0}, {"theta_width": -90.0},
+                                   {"phi_width": 0}, {"phi_width": -1e-9}])
+def test_load_bin_table_rejects_non_positive_widths(tmp_path, width):
+    # such a bin matches no pose, so every record would be labelled unbinned
+    path = tmp_path / "bins.json"
+    path.write_text(json.dumps([{"label": "x", "theta_center": 45.0, "phi_center": 0.0, **width}]))
+    with pytest.raises(InputError, match="width that is not positive"):
+        metadata.load_bin_table(path)
+
+
 def test_table_center_of():
     assert metadata.table_center_of("0,0,0") == (0.0, 0.0, 0.0)
     assert metadata.table_center_of(" 0.5 , -0.25 , 0.1 ") == (0.5, -0.25, 0.1)
@@ -784,6 +838,23 @@ def test_annotate_record_tolerates_annotator_failure():
     out = metadata.annotate_record(rec, annotator=table)
     assert out.annotations.object_color is None
     assert out.annotations.target_object == "mug"
+
+
+def test_annotate_derives_the_target_object_once_per_instruction_tuple(monkeypatch):
+    calls = []
+    real = lexicon.cluster_candidates
+
+    def counted(words):
+        calls.append(words)
+        return real(words)
+
+    monkeypatch.setattr(lexicon, "cluster_candidates", counted)
+    lexicon._target_object.cache_clear()
+    instructions = ("pick the mug and place it on the plate",)
+    records = [make_record(rid=f"d{i}", instructions=instructions) for i in range(50)]
+    targets = {metadata.annotate_record(rec).annotations.target_object for rec in records}
+    assert targets == {"mug"}
+    assert len(calls) == 1
 
 
 def test_write_records_matches_per_element_json(tmp_path):
