@@ -400,6 +400,9 @@ def run(argv=None) -> int:
         name = type(exc).__name__.removesuffix("Error")  # FileNotFound, IsADirectory, ...
         _print_json({"error": name, "message": str(exc)}, stream=sys.stderr)
         return 1
+    except MemoryError as exc:  # an array too large to allocate, such as an oversized raster
+        _print_json({"error": "Memory", "message": str(exc) or "out of memory"}, stream=sys.stderr)
+        return 1
 
 
 def main() -> None:

@@ -2,14 +2,19 @@
 
 Fractal textures are value noise (4 octaves, persistence 0.5, frequency
 doubling) normalized to [0, 1] and affinely mapped into a TextureSpec's HSV
-bounds, hue wrap-aware.  Lab enumeration expands the benchmark task templates
-per lab and crosses them with camera bins and spatial combinations.  Synthesis
-re-anchors object-centric trajectory segments with rigid transforms and
-bridges the junctions by linear/spherical interpolation.
+bounds, hue wrap-aware.  The H, S and V fields are rendered together as one
+stacked array, with the interpolation indices and weights cached per axis
+length; every pixel takes the same float operations in the same order as a
+per-channel, per-pixel render, so the bytes are unchanged.  Lab enumeration
+expands the benchmark task templates per lab and crosses them with camera
+bins and spatial combinations.  Synthesis re-anchors object-centric
+trajectory segments with rigid transforms and bridges the junctions by
+linear/spherical interpolation.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 import struct
 from dataclasses import dataclass
@@ -50,35 +55,80 @@ def _fade(t: np.ndarray) -> np.ndarray:
     return t * t * (3.0 - 2.0 * t)
 
 
-def _value_noise(gen, width: int, height: int, octaves: int, persistence: float) -> np.ndarray:
-    """Summed bilinear value noise normalized to [0, 1].
+_AXIS_CACHE_SIZE = 64
 
-    Separable: each lattice row is interpolated along x once, into an
-    (L, width) array, and the rows are then blended along y, which is the
-    same float operations in the same order as a per-pixel bilinear blend.
+
+@functools.lru_cache(maxsize=_AXIS_CACHE_SIZE)
+def _axis_weights(n: int) -> tuple:
+    """Per octave, `(L, i0, i0 + 1, 1 - f, f)` for an axis of `n` pixels.
+
+    `L` is the lattice side, `i0`/`i0 + 1` the lattice cells each pixel lies
+    between and `1 - f`/`f` their faded blend weights.  The arrays are shared
+    between calls, so they are read-only.
     """
-    u_base = np.arange(width, dtype=float) / width
-    v_base = np.arange(height, dtype=float) / height
-    total = np.zeros((height, width))
-    amp = 1.0
+    base = np.arange(n, dtype=float) / n
+    octaves = []
     freq = float(NOISE_BASE_CELLS)
-    for _ in range(octaves):
-        lattice = gen.random((int(freq) + 2, int(freq) + 2))
-        u = u_base * freq
-        v = v_base * freq
+    for _ in range(NOISE_OCTAVES):
+        u = base * freq
         i0 = np.floor(u).astype(int)
-        j0 = np.floor(v).astype(int)
-        fu = _fade(u - i0)
-        fv = _fade(v - j0)[:, None]
-        rows = lattice[:, i0] * (1 - fu) + lattice[:, i0 + 1] * fu
-        total += amp * (rows[j0] * (1 - fv) + rows[j0 + 1] * fv)
-        amp *= persistence
+        f = _fade(u - i0)
+        arrays = (i0, i0 + 1, 1 - f, f)
+        for a in arrays:
+            a.flags.writeable = False
+        octaves.append((int(freq) + 2, *arrays))
         freq *= 2.0
-    lo = total.min()
-    span = total.max() - lo
-    if span == 0.0:
-        return np.full((height, width), 0.5)
-    return (total - lo) / span
+    return tuple(octaves)
+
+
+def _value_noise(gens, width: int, height: int) -> np.ndarray:
+    """Summed bilinear value noise, one field per generator, each normalized to [0, 1].
+
+    Returns a `(len(gens), height, width)` array.  Each generator draws one
+    `(L, L)` lattice per octave, into its plane of one stacked array, so the
+    x blend, the y blend and the octave sum run once for every channel.
+    Separable: each lattice row is interpolated along x once and the rows are
+    then blended along y, the same float operations in the same order as a
+    per-pixel bilinear blend.  The octave amplitude scales the lattice rather
+    than the blended field: NOISE_PERSISTENCE is 0.5, so every amplitude is a
+    power of two, and with lattice values in [0, 1) no product comes near the
+    subnormal range, so the scaling is exact either way.
+    """
+    total = None
+    amp = 1.0
+    octaves = zip(_axis_weights(width), _axis_weights(height))
+    for (side, i0, i1, wx0, wx1), (_, j0, j1, wy0, wy1) in octaves:
+        lattice = np.empty((len(gens), side, side))
+        for gen, plane in zip(gens, lattice):
+            gen.random(out=plane)
+        lattice *= amp
+        # np.take returns C-contiguous arrays (fancy indexing would put the
+        # gathered axis outermost in memory), so every later pass, and each
+        # channel's normalization, runs over contiguous memory
+        rows = np.take(lattice, i0, axis=2)
+        rows *= wx0
+        right = np.take(lattice, i1, axis=2)
+        right *= wx1
+        rows += right
+        field = np.take(rows, j0, axis=1)
+        field *= wy0[:, None]
+        below = np.take(rows, j1, axis=1)
+        below *= wy1[:, None]
+        field += below
+        if total is None:
+            total = field
+        else:
+            total += field
+        amp *= NOISE_PERSISTENCE
+    for channel in total:
+        lo = channel.min()
+        span = channel.max() - lo
+        if span == 0.0:
+            channel.fill(0.5)
+        else:
+            channel -= lo
+            channel /= span
+    return total
 
 
 _H_CHANNEL, _S_CHANNEL, _V_CHANNEL = range(3)
@@ -95,13 +145,13 @@ def fractal_texture(spec: TextureSpec, width: int, height: int, seed: int) -> Te
         raise ValueError(f"fractal_texture needs a fractal TextureSpec, got {spec.mode!r}")
     if width < 1 or height < 1:
         raise ValueError("raster dimensions must be >= 1")
-    h_noise = _value_noise(substream(seed, _H_CHANNEL), width, height, NOISE_OCTAVES, NOISE_PERSISTENCE)
-    s_noise = _value_noise(substream(seed, _S_CHANNEL), width, height, NOISE_OCTAVES, NOISE_PERSISTENCE)
-    v_noise = _value_noise(substream(seed, _V_CHANNEL), width, height, NOISE_OCTAVES, NOISE_PERSISTENCE)
-    h = spec.hue_from_unit(h_noise)
-    s = np.clip(spec.s_min + s_noise * (spec.s_max - spec.s_min), spec.s_min, spec.s_max)
-    v = np.clip(spec.v_min + v_noise * (spec.v_max - spec.v_min), spec.v_min, spec.v_max)
-    return TextureRaster(width, height, np.stack([h, s, v], axis=-1))
+    h_noise, s_noise, v_noise = _value_noise(
+        [substream(seed, c) for c in (_H_CHANNEL, _S_CHANNEL, _V_CHANNEL)], width, height)
+    pixels = np.empty((height, width, 3))
+    pixels[..., 0] = spec.hue_from_unit(h_noise)
+    pixels[..., 1] = np.clip(spec.s_min + s_noise * (spec.s_max - spec.s_min), spec.s_min, spec.s_max)
+    pixels[..., 2] = np.clip(spec.v_min + v_noise * (spec.v_max - spec.v_min), spec.v_min, spec.v_max)
+    return TextureRaster(width, height, pixels)
 
 
 def raster_within(spec: TextureSpec, raster: TextureRaster) -> bool:

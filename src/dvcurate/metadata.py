@@ -633,9 +633,12 @@ def _camera_bin(row) -> CameraBin:
     label = row["label"]
     if not isinstance(label, str):
         raise TypeError(f"label {label!r} is not a string")
-    angles = (float(row["theta_center"]), float(row["phi_center"]),
-              float(row.get("theta_width", CAMERA_BIN_POLAR_WIDTH)),
-              float(row.get("phi_width", CAMERA_BIN_AZIMUTH_WIDTH)))
+    angles = (row["theta_center"], row["phi_center"],
+              row.get("theta_width", CAMERA_BIN_POLAR_WIDTH),
+              row.get("phi_width", CAMERA_BIN_AZIMUTH_WIDTH))
+    if not _numbers(angles):
+        raise TypeError(f"bin {label!r} has an angle that is not a JSON number")
+    angles = tuple(map(float, angles))  # OverflowError for an int past the float range
     if not all(math.isfinite(v) for v in angles):
         raise ValueError(f"bin {label!r} has a non-finite centre or width")
     if not min(angles[2:]) > 0.0:  # such a bin matches no pose
@@ -646,14 +649,14 @@ def _camera_bin(row) -> CameraBin:
 def load_bin_table(path) -> tuple[CameraBin, ...]:
     """Read a camera-bin table from JSON: a list of
     {"label","theta_center","phi_center","theta_width","phi_width"} with a
-    string label, finite angles and positive widths."""
+    string label, angles that are finite JSON numbers and positive widths."""
     with open(path, encoding="utf-8") as fh:
         try:
             rows = json.load(fh)
             if not isinstance(rows, list):
                 raise TypeError(f"expected a list of bins, got {type(rows).__name__}")
             return tuple(_camera_bin(row) for row in rows)
-        except (KeyError, TypeError, ValueError) as exc:
+        except (KeyError, TypeError, ValueError, OverflowError) as exc:
             raise InputError(f"bad camera-bin table {path}: {exc!r}") from None
 
 

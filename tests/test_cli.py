@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import hashlib
 import io
 import json
 import os
@@ -19,6 +20,7 @@ from conftest import DATA_DIR, demo_row, element_record_to_dict, write_jsonl
 
 BIN_CARROT = str(DATA_DIR / "specs" / "valid" / "bin-carrot.mlspec")
 WRAPPED_HUE = str(DATA_DIR / "specs" / "valid" / "wrapped-hue.mlspec")
+MAKE_COFFEE = str(DATA_DIR / "specs" / "valid" / "make-coffee.mlspec")
 MALFORMED = str(DATA_DIR / "specs" / "malformed" / "m01-unbalanced.mlspec")
 
 
@@ -163,6 +165,38 @@ def test_gen_texture_writes_raster_and_ppm(capsys, tmp_path):
     # the file format quantizes to float32; read-back matches that cast exactly
     assert np.array_equal(raster.pixels, rendered.pixels.astype("<f4").astype(np.float64))
     assert ppm_path.read_bytes().startswith(b"P6\n32 16\n255\n")
+
+
+@pytest.mark.parametrize(
+    "spec,width,height,seed,digest",
+    [
+        (WRAPPED_HUE, 48, 40, 1, "3a3208c947b8dcd034810350d29fdf2afad0878cf03efcdee0f2398a77a8011d"),
+        (BIN_CARROT, 64, 64, 7, "bbd3423dac3e108a1cd94edc2f997c9cfd6fb89e12e538f7305941ef8080dd6f"),
+        (MAKE_COFFEE, 33, 100, 5, "022aa24417e03fe1df5418a0f7ea758929daef26459f75c619ad5313fb636d01"),
+    ],
+)
+def test_gen_texture_bytes_match_golden_digests(capsys, tmp_path, spec, width, height, seed, digest):
+    # pinned from the per-channel renderer that preceded the stacked one; the
+    # first spec's object texture has a wrapped hue window (0.92 .. 0.06)
+    out_path = tmp_path / "tex.dvtx"
+    code, _, _ = run_cli(capsys, "gen", "texture", spec, "--seed", str(seed), "--width", str(width),
+                         "--height", str(height), "--out", str(out_path))
+    assert code == 0
+    assert hashlib.sha256(out_path.read_bytes()).hexdigest() == digest
+
+
+@pytest.mark.parametrize("exc", [MemoryError(), MemoryError("Unable to allocate 8.00 EiB")])
+def test_memory_error_exits_1_with_a_report(capsys, tmp_path, monkeypatch, exc):
+    def exhausted(*args):
+        raise exc
+
+    monkeypatch.setattr(genkit, "fractal_texture", exhausted)
+    code, _, err = run_cli(capsys, "gen", "texture", WRAPPED_HUE, "--seed", "1",
+                           "--out", str(tmp_path / "t.dvtx"))
+    assert code == 1
+    report = json.loads(err)
+    assert report["error"] == "Memory"
+    assert report["message"] == (str(exc) or "out of memory")
 
 
 def test_gen_texture_rejects_jitter_texture(capsys, tmp_path):
@@ -397,6 +431,7 @@ def _side_file(tmp_path, data):
         ("bin-table-number-label", "InputError"),
         ("bin-table-nan-centre", "InputError"),
         ("bin-table-zero-width", "InputError"),
+        ("bin-table-string-centre", "InputError"),
         ("annotator-retries", "InputError"),
         ("anchors-bad-json", "InputError"),
         ("profile-camera-at-center", "DegeneratePose"),
@@ -445,6 +480,8 @@ def test_bad_inputs_exit_1_with_a_report(capsys, tmp_path, monkeypatch, corpus, 
             tmp_path, '[{"label": "x", "theta_center": NaN, "phi_center": 0}]')],
         "bin-table-zero-width": lambda: ["annotate", corpus, "--out", out, "--bin-table", _side_file(
             tmp_path, '[{"label": "x", "theta_center": 45, "phi_center": 0, "theta_width": 0}]')],
+        "bin-table-string-centre": lambda: ["annotate", corpus, "--out", out, "--bin-table", _side_file(
+            tmp_path, '[{"label": "x", "theta_center": "45", "phi_center": true}]')],
         "annotator-retries": lambda: ["annotate", corpus, "--out", out, "--http-annotator"],
         "anchors-bad-json": lambda: ["gen", "synth", "--demos", corpus, "--goal", "pick,place",
                                      "--anchors", _side_file(tmp_path, "not json"), "--out", out],
@@ -745,6 +782,8 @@ def fuzz_files(tmp_path_factory):
         "bins-zero-width": put("bins-zero-width.json", json.dumps([{"label": "x", "theta_center": 45.0,
                                                                     "phi_center": 0.0,
                                                                     "theta_width": -90.0}])),
+        "bins-string-centre": put("bins-string-centre.json", json.dumps([{"label": "x", "theta_center": "45",
+                                                                          "phi_center": True}])),
         "out": str(d / "out.txt"),
         "out-in-missing-dir": str(d / "no-such-dir" / "out.txt"),
     }

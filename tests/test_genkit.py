@@ -1,7 +1,13 @@
 from __future__ import annotations
 
+import subprocess
+import sys
+from unittest import mock
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dvcurate import genkit, geometry
 from dvcurate.errors import ConfigError, DegenerateAnchor, SegmentationMismatch
@@ -365,10 +371,65 @@ def test_synthesize_record_metadata():
 def test_fractal_texture_matches_per_pixel_noise_bytes(monkeypatch, spec, width, height):
     for seed in (0, 3, 2**40 + 1):
         fast = genkit.fractal_texture(spec, width, height, seed)
-        monkeypatch.setattr(genkit, "_value_noise", pixel_value_noise)
+        monkeypatch.setattr(genkit, "_value_noise", _per_pixel_channels)
         slow = genkit.fractal_texture(spec, width, height, seed)
         monkeypatch.undo()
         assert fast.pixels.tobytes() == slow.pixels.tobytes()
+
+
+def _per_pixel_channels(gens, width, height):
+    return np.stack([pixel_value_noise(g, width, height, genkit.NOISE_OCTAVES, genkit.NOISE_PERSISTENCE)
+                     for g in gens])
+
+
+@st.composite
+def _texture_specs(draw):
+    unit = st.floats(0.0, 1.0)
+    hue = st.floats(0.0, 1.0, exclude_max=True)
+    h_min, h_max = draw(hue), draw(hue)  # h_min > h_max is a wrapped window
+    s_min, v_min = draw(unit), draw(unit)
+    if draw(st.booleans()):  # a point window
+        h_max, s_max, v_max = h_min, s_min, v_min
+    else:
+        s_max, v_max = draw(st.floats(s_min, 1.0)), draw(st.floats(v_min, 1.0))
+    return TextureSpec("fractal", h_min, h_max, s_min, s_max, v_min, v_max)
+
+
+@settings(max_examples=60, deadline=None)
+@given(spec=_texture_specs(), width=st.integers(1, 96), height=st.integers(1, 96),
+       seed=st.integers(0, 2**64 - 1))
+def test_fractal_texture_matches_per_pixel_noise_bytes_for_drawn_inputs(spec, width, height, seed):
+    fast = genkit.fractal_texture(spec, width, height, seed)
+    with mock.patch.object(genkit, "_value_noise", _per_pixel_channels):
+        slow = genkit.fractal_texture(spec, width, height, seed)
+    assert fast.pixels.tobytes() == slow.pixels.tobytes()
+
+
+def test_axis_weights_are_read_only():
+    for side, *arrays in genkit._axis_weights(37):
+        assert side >= genkit.NOISE_BASE_CELLS + 2
+        for a in arrays:
+            assert a.shape == (37,) and not a.flags.writeable
+            with pytest.raises(ValueError):
+                a[0] = 0
+
+
+_RENDER_IN_FRESH_PROCESS = (
+    "import sys; from dvcurate import genkit; from dvcurate.taskspec import TextureSpec; "
+    "spec = TextureSpec('fractal', 0.92, 0.06, 0.2, 0.8, 0.3, 0.9); "
+    "sys.stdout.buffer.write(genkit.fractal_texture(spec, 45, 29, 11).pixels.tobytes())"
+)
+
+
+def test_cached_weights_give_the_bytes_of_a_fresh_process():
+    spec = TextureSpec("fractal", 0.92, 0.06, 0.2, 0.8, 0.3, 0.9)
+    first = genkit.fractal_texture(spec, 45, 29, 11).pixels.tobytes()
+    genkit.fractal_texture(spec, 29, 45, 12)  # the same axis lengths, the other way round
+    genkit.fractal_texture(spec, 64, 64, 13)
+    again = genkit.fractal_texture(spec, 45, 29, 11).pixels.tobytes()
+    fresh = subprocess.run([sys.executable, "-c", _RENDER_IN_FRESH_PROCESS],
+                           capture_output=True, check=True).stdout
+    assert first == again == fresh
 
 
 def test_synthesize_matches_np_cross_bytes(monkeypatch):

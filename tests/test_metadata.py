@@ -642,6 +642,16 @@ def test_load_bin_table(tmp_path):
         {"label": "x", "theta_center": 45.0, "phi_center": float("inf")},
         {"label": "x", "theta_center": 45.0, "phi_center": 0.0, "theta_width": float("nan")},
         {"label": "x", "theta_center": 45.0, "phi_center": 0.0, "phi_width": float("-inf")},
+        # angles must be JSON numbers: float() would accept "45" and true
+        {"label": "front", "theta_center": "45", "phi_center": True, "theta_width": "15",
+         "phi_width": 30},
+        {"label": "x", "theta_center": "45", "phi_center": 0.0},
+        {"label": "x", "theta_center": 45.0, "phi_center": True},
+        {"label": "x", "theta_center": 45.0, "phi_center": 0.0, "theta_width": "15"},
+        {"label": "x", "theta_center": 45.0, "phi_center": 0.0, "phi_width": False},
+        {"label": "x", "theta_center": None, "phi_center": 0.0},
+        {"label": "x", "theta_center": [45.0], "phi_center": 0.0},
+        {"label": "x", "theta_center": 10**400, "phi_center": 0.0},  # past the float range
     ],
 )
 def test_load_bin_table_rejects_labels_that_are_not_strings_and_non_finite_angles(tmp_path, row):
