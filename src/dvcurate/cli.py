@@ -320,7 +320,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_syn.add_argument("--goal", help="comma-separated primitive labels (overrides --spec)")
     p_syn.add_argument("--anchors", required=True, help="JSON list of {pos, quat} poses")
     p_syn.add_argument("--bridge-step", type=_POSITIVE_FLOAT, default=0.05)
-    p_syn.add_argument("--new-id", default="synth-0")
+    p_syn.add_argument("--new-id", type=_checked(str, bool, "non-empty"), default="synth-0")
     p_syn.add_argument("--out", required=True)
     p_syn.set_defaults(func=_cmd_gen_synth)
 
@@ -351,7 +351,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_cls.add_argument("--target", required=True)
     p_cls.add_argument("--cotrain", required=True)
     p_cls.add_argument("--dv", required=True, choices=dvalgebra.DV_NAMES)
-    p_cls.add_argument("--rho", type=_checked(float, lambda v: v > 1.0, "> 1"),
+    p_cls.add_argument("--rho", type=_checked(float, lambda v: math.isfinite(v) and v > 1.0, "finite and > 1"),
                        default=dvalgebra.RHO_DEFAULT)
     p_cls.add_argument("--cell", type=_POSITIVE_FLOAT, default=dvalgebra.DILATION_CELL_DEFAULT)
     p_cls.add_argument("--table-center", default="0,0,0")

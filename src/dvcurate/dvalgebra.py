@@ -25,7 +25,7 @@ import numpy as np
 
 from . import lexicon as lexmod
 from . import metadata as metamod
-from .errors import DVNotMeasured, EmptyDataset, KindMismatch, ZeroTargetSupport
+from .errors import DVNotMeasured, EmptyDataset, KindMismatch
 
 RHO_DEFAULT = 5.0
 DILATION_CELL_DEFAULT = 0.02
@@ -297,19 +297,6 @@ def is_aligned(target: DVSupport, cotrain: DVSupport) -> bool:
         return target.elements <= cotrain.elements
     dims = 3 if target.kind == "interval3d" else 2
     return boxes_covered(target.elements, cotrain.elements, dims)
-
-
-def diversity_ratio(target: DVSupport, cotrain: DVSupport) -> float:
-    """|S_C| / |S_T|; raises ZeroTargetSupport when the ratio diverges."""
-    if target.kind != cotrain.kind:
-        raise KindMismatch(f"cannot compare {target.kind} with {cotrain.kind}")
-    size_t = support_size(target)
-    size_c = support_size(cotrain)
-    if size_t == 0.0:
-        if size_c > 0.0:
-            raise ZeroTargetSupport("target support has zero measure")
-        return 0.0
-    return size_c / size_t
 
 
 class CaseMeasure(NamedTuple):

@@ -55,10 +55,6 @@ class KindMismatch(DVCurateError):
     """Two supports of different kinds were compared."""
 
 
-class ZeroTargetSupport(DVCurateError):
-    """Diversity ratio requested for an empty target support."""
-
-
 class EmptyDataset(DVCurateError):
     """A profile or synthesis was requested over zero records."""
 
@@ -117,11 +113,7 @@ class UnrecognizedColor(DVCurateError):
     """The annotator returned a label outside the canonical color table."""
 
 
-class BuildError(DVCurateError):
-    """Index construction failed."""
-
-
-class DuplicateId(BuildError):
+class DuplicateId(DVCurateError):
     """Two records share an id."""
 
 

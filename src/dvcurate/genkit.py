@@ -30,7 +30,7 @@ from .geometry import (
     quat_rotate,
     quat_slerp,
 )
-from .metadata import DemoRecord, Steps, gripper_transitions
+from .metadata import DEFAULT_CAMERA_BINS, DemoRecord, Steps, gripper_transitions
 from .rng import substream
 from .taskspec import PredicateSequence, TextureSpec
 
@@ -221,13 +221,6 @@ def write_ppm(path, raster: TextureRaster) -> None:
 # ---------------------------------------------------------------------------
 # lab enumeration
 
-DEFAULT_CAMERA_BIN_LABELS = (
-    "agent-front",
-    "agent-left",
-    "agent-right",
-    "shoulder-left",
-    "shoulder-right",
-)
 DEFAULT_SPATIAL_COMBINATIONS = 90
 DEFAULT_LAB_COUNT = 8
 
@@ -254,8 +247,6 @@ class LabConfig:
     lab: str
     objects: tuple
     receptacles: tuple
-    has_coffee_machine: bool = False
-    camera_bins: tuple = DEFAULT_CAMERA_BIN_LABELS
     spatial_combinations: int = DEFAULT_SPATIAL_COMBINATIONS
 
     def __post_init__(self):
@@ -265,8 +256,6 @@ class LabConfig:
             raise ConfigError(f"{self.lab}: duplicate objects in roster")
         if not self.receptacles:
             raise ConfigError(f"{self.lab}: receptacle roster must be non-empty")
-        if len(self.camera_bins) != 5:
-            raise ConfigError(f"{self.lab}: camera bins must have 5 entries, got {len(self.camera_bins)}")
         if self.spatial_combinations < 1:
             raise ConfigError(f"{self.lab}: spatial combinations must be >= 1")
 
@@ -285,7 +274,6 @@ def default_labs(count: int = DEFAULT_LAB_COUNT,
                 lab=f"lab{i + 1}",
                 objects=objects,
                 receptacles=receptacles,
-                has_coffee_machine=(i == coffee_lab_index),
                 spatial_combinations=spatial_combinations,
             )
         )
@@ -315,9 +303,9 @@ def enumerate_lab(config: LabConfig) -> LabEnumeration:
 
     Base templates: bin each of the 7 objects; open/close each of the 2
     appliances; open-then-store and store-then-close for each appliance and
-    object pair (14 each); stove on and off.  A coffee-machine lab adds
-    make-coffee.  The crossed count multiplies camera bins by the configured
-    spatial combinations.
+    object pair (14 each); stove on and off.  A lab with a coffee-machine
+    receptacle adds make-coffee.  The crossed count multiplies the default
+    camera bins of `metadata` by the configured spatial combinations.
     """
     n_obj = len(config.objects)
     n_app = len(_APPLIANCES)
@@ -330,10 +318,10 @@ def enumerate_lab(config: LabConfig) -> LabEnumeration:
         InstanceTemplate("stove-on", ("turnOn",), 1),
         InstanceTemplate("stove-off", ("turnOff",), 1),
     ]
-    if config.has_coffee_machine:
+    if "coffee-machine" in config.receptacles:
         templates.append(InstanceTemplate("make-coffee", ("pick", "place", "close"), 1))
     base = sum(t.count for t in templates)
-    crossed = len(config.camera_bins) * config.spatial_combinations
+    crossed = len(DEFAULT_CAMERA_BINS) * config.spatial_combinations
     return LabEnumeration(config.lab, tuple(templates), base, crossed)
 
 

@@ -76,13 +76,6 @@ def quat_slerp(a, b, t: float) -> np.ndarray:
     return (math.sin((1.0 - t) * omega) * a + math.sin(t * omega) * b) / so
 
 
-def quat_chordal(a, b) -> float:
-    """Sign-insensitive quaternion distance min(|a-b|, |a+b|)."""
-    a = np.asarray(a, dtype=float)
-    b = np.asarray(b, dtype=float)
-    return float(min(np.linalg.norm(a - b), np.linalg.norm(a + b)))
-
-
 def pose_compose(pa, qa, pb, qb) -> tuple[np.ndarray, np.ndarray]:
     """Compose pose A ∘ pose B (apply B first, then A)."""
     return np.asarray(pa, dtype=float) + quat_rotate(qa, pb), quat_mul(qa, qb)

@@ -145,7 +145,6 @@ class WordEmbeddings:
             anchor = self._unit(substream(_EMBEDDING_SEED, 1, ci).standard_normal(EMBEDDING_DIM))
             for word in words.split():
                 self._table[word] = self._unit(anchor + _EMBEDDING_JITTER * self._word_noise(word))
-        self._vocab = frozenset(self._table)
 
     @staticmethod
     def _unit(v: np.ndarray) -> np.ndarray:
@@ -164,9 +163,6 @@ class WordEmbeddings:
             v = self._unit(self._word_noise(word))
             self._table[word] = v
         return v
-
-    def known(self, word: str) -> bool:
-        return word in self._vocab
 
 
 _DEFAULT_EMBEDDINGS: WordEmbeddings | None = None

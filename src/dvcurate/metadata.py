@@ -75,7 +75,6 @@ GRIPPER_WINDOW = 15
 GRIPPER_THRESHOLD = 0.5
 CAMERA_BIN_POLAR_WIDTH = 15.0
 CAMERA_BIN_AZIMUTH_WIDTH = 30.0
-QUAT_NORM_TOL = UNIT_NORM_TOL
 # Bytes of lines validated together.  Small on purpose: a chunk's decoded
 # dicts stay alive until its records are built, and while one chunk's live
 # containers stay under CPython's generation-0 threshold (700) the cyclic GC
@@ -162,7 +161,7 @@ def parse_record(obj: dict, line: int = 0) -> DemoRecord:
     if cam_quat.shape != (4,) or not _numbers(cam["quat"]):
         raise _schema(line, "camera_extrinsics.quat", "expected 4 numbers")
     cam_norm = math.sqrt(float(cam_quat @ cam_quat))
-    if not abs(cam_norm - 1.0) <= QUAT_NORM_TOL:  # a NaN fails too
+    if not abs(cam_norm - 1.0) <= UNIT_NORM_TOL:  # a NaN fails too
         raise QuaternionNormError(line, f"camera quaternion norm {cam_norm:.8f} != 1")
     if not isinstance(steps, list) or not steps:
         raise _schema(line, "steps", "must be a non-empty list")
@@ -187,7 +186,7 @@ def parse_record(obj: dict, line: int = 0) -> DemoRecord:
         raise _schema(line, "steps.ee_quat", "expected 4 numbers per step")
     norms = np.sqrt(np.einsum("ij,ij->i", ee_quat, ee_quat))
     err = np.abs(norms - 1.0)
-    if not (err <= QUAT_NORM_TOL).all():
+    if not (err <= UNIT_NORM_TOL).all():
         bad = int(err.argmax())  # the first NaN, else the largest error
         raise QuaternionNormError(line, f"step {bad} quaternion norm {norms[bad]:.8f} != 1")
     if not _numbers(grip_raw) or not ((gripper >= 0.0) & (gripper <= 1.0)).all():
@@ -251,7 +250,7 @@ _NORM_MARGIN = 1e-12
 
 def _unit_rows(quats: np.ndarray) -> bool:
     err = np.abs(np.sqrt(np.einsum("ij,ij->i", quats, quats)) - 1.0)
-    return bool((err <= QUAT_NORM_TOL - _NORM_MARGIN).all())
+    return bool((err <= UNIT_NORM_TOL - _NORM_MARGIN).all())
 
 
 def _parse_chunk(objs: list) -> list[DemoRecord] | None:
@@ -525,11 +524,11 @@ def write_records(path, records) -> int:
 # ---------------------------------------------------------------------------
 # gripper-signal annotations
 
-def smooth_gripper(gripper: np.ndarray, window: int = GRIPPER_WINDOW) -> np.ndarray:
-    """Centered moving average of width `window`, truncated at the edges."""
+def smooth_gripper(gripper: np.ndarray) -> np.ndarray:
+    """Centered moving average of width GRIPPER_WINDOW, truncated at the edges."""
     g = np.asarray(gripper, dtype=float)
     n = len(g)
-    half = window // 2
+    half = GRIPPER_WINDOW // 2
     csum = np.concatenate(([0.0], np.cumsum(g)))
     idx = np.arange(n)
     lo = np.maximum(idx - half, 0)

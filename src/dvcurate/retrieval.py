@@ -17,6 +17,7 @@ query's hits are gathered by one boolean take of that array and one
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -57,8 +58,12 @@ class RetrievalQuery:
             )
         ):
             raise SpecRangeError("query", "at least one filter required")
+        for name, triple in (("campose.pos", self.campose_target), ("campose.tol", self.campose_tol),
+                             ("objspat.center", self.objspat_center), ("objspat.extent", self.objspat_extent)):
+            if triple is not None and (len(triple) != 3 or not all(map(math.isfinite, triple))):
+                raise SpecRangeError(name, f"must be three finite numbers, got {triple}")
         for name, triple in (("campose.tol", self.campose_tol), ("objspat.extent", self.objspat_extent)):
-            if len(triple) != 3 or any(v <= 0 for v in triple):
+            if any(v <= 0 for v in triple):
                 raise SpecRangeError(name, f"all components must be > 0, got {triple}")
         if self.motion is not None and not self.motion:
             raise SpecRangeError("motion", "motion filter must name at least one primitive")

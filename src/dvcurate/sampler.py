@@ -64,9 +64,9 @@ def batch(stream: SampleStream, index: int) -> list:
     return _batch_with_flags(stream, index)[0]
 
 
-def batches(stream: SampleStream, n_batches: int, start: int = 0):
-    """Yield batches start .. start + n_batches - 1."""
-    for i in range(start, start + n_batches):
+def batches(stream: SampleStream, n_batches: int):
+    """Yield batches 0 .. n_batches - 1."""
+    for i in range(n_batches):
         yield batch(stream, i)
 
 

@@ -155,11 +155,6 @@ class TextureSpec:
                 if not 0.0 <= v <= 1.0:
                     raise SpecRangeError("texture", f"S/V bound {v} outside [0, 1]")
 
-    def hue_width(self) -> float:
-        if self.mode == "jitter" or self.h_min <= self.h_max:
-            return self.h_max - self.h_min
-        return (self.h_max - self.h_min) % 1.0
-
     def hue_contains(self, h: float) -> bool:
         if self.mode == "jitter" or self.h_min <= self.h_max:
             return self.h_min <= h <= self.h_max

@@ -13,6 +13,7 @@ reproduce their output bytes, forms, positions and errors exactly.
 from __future__ import annotations
 
 import json
+import os
 import pathlib
 import re
 
@@ -26,6 +27,17 @@ from dvcurate.rng import substream
 from dvcurate.sexpr import Form, Keyword, Number, SList, String, Symbol
 
 DATA_DIR = pathlib.Path(__file__).parent / "data"
+SRC_DIR = pathlib.Path(__file__).resolve().parent.parent / "src"
+
+
+@pytest.fixture(autouse=True, scope="session")
+def _child_processes_import_the_checkout():
+    """Put src/ on PYTHONPATH for the interpreters some tests start, as
+    pyproject's `pythonpath` does for this one."""
+    paths = [str(SRC_DIR)] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setenv("PYTHONPATH", os.pathsep.join(paths))
+        yield
 
 
 @pytest.fixture
@@ -261,6 +273,13 @@ def bin_camera_pos(label, r=0.9, center=(0.0, 0.0, 0.0)):
     azimuths = {"agent-front": 0.0, "agent-left": 60.0, "agent-right": -60.0,
                 "shoulder-left": 120.0, "shoulder-right": -120.0}
     return cartesian_from_spherical(r, 45.0, azimuths[label], center=center)
+
+
+def quat_chordal(a, b) -> float:
+    """Sign-insensitive quaternion distance min(|a-b|, |a+b|)."""
+    a = np.asarray(a, dtype=float)
+    b = np.asarray(b, dtype=float)
+    return float(min(np.linalg.norm(a - b), np.linalg.norm(a + b)))
 
 
 # ---------------------------------------------------------------------------

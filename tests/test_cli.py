@@ -61,6 +61,7 @@ def test_usage_errors_exit_2(capsys):
         ["classify", "--target", "t", "--cotrain", "c", "--dv", "objSpat", "--cell", "inf"],
         ["gen", "texture", "s.mlspec", "--seed", "1", "--out", "o", "--height", "0"],
         ["gen", "synth", "--demos", "d", "--anchors", "a", "--out", "o", "--bridge-step", "0"],
+        ["gen", "synth", "--demos", "d", "--anchors", "a", "--out", "o", "--new-id", ""],
         ["gen", "instances", "--labs", "-1"],
         ["gen", "instances", "--labs", "0"],
         ["gen", "instances", "--labs", "2", "--coffee-lab", "9"],
@@ -440,6 +441,7 @@ def _side_file(tmp_path, data):
         ("color-table-number-label", "InputError"),
         ("ingest-directory", "IsADirectory"),
         ("retrieve-query-directory", "IsADirectory"),
+        ("retrieve-overflowing-query-number", "SpecRangeError"),
         ("spec-not-utf8", "UnicodeDecode"),
         ("synth-without-goal", "InputError"),
         ("synth-empty-corpus", "EmptyDataset"),
@@ -495,6 +497,8 @@ def test_bad_inputs_exit_1_with_a_report(capsys, tmp_path, monkeypatch, corpus, 
                                              "--color-table", _side_file(tmp_path, '{"r0": 5}')],
         "ingest-directory": lambda: ["ingest", str(tmp_path)],
         "retrieve-query-directory": lambda: ["retrieve", "--corpus", corpus, "--query", str(tmp_path)],
+        "retrieve-overflowing-query-number": lambda: ["retrieve", "--corpus", corpus, "--report",
+                                                      "--query-text", "(query :campose (:pos 1e999 0 0))"],
         "spec-not-utf8": lambda: ["spec", "validate", _side_file(tmp_path, b"(task :name \xff)")],
         "synth-without-goal": lambda: ["gen", "synth", "--demos", corpus, "--anchors", anchors(),
                                        "--out", out],
@@ -640,6 +644,7 @@ def test_sample_batches_lines_and_stats(capsys, tmp_path):
         ("sample-batches", "--batch", "0"),
         ("sample-batches", "--stats", "--n", "0"),
         ("classify", "--dv", "objSpat", "--rho", "1"),
+        ("classify", "--dv", "objSpat", "--rho", "inf"),
     ],
     ids=" ".join,
 )
@@ -706,7 +711,8 @@ def test_installed_entry_point_runs():
 # ---------------------------------------------------------------------------
 # contract fuzz: argv drawn from every subcommand and flag, over valid and
 # corrupted side files, exits 0, 1 or 2, never with a traceback, and every
-# exit 1 carries a JSON report on stderr
+# exit 1 carries a JSON report on stderr; that report, and the stdout of
+# `classify` and `profile --format json`, are strict JSON (no NaN or Infinity)
 
 _SMALL = ("-1", "0", "1", "3", "x")
 _FLOATS = ("-1", "0", "0.05", "1.5", "nan", "inf", "x")
@@ -831,7 +837,7 @@ def _argv(draw, files):
     elif command == "gen synth":
         head = ["--demos", path(), "--anchors", path(), "--out", output()]
         table = [("--goal", ("pick,place", "pick", "fly,", "")), ("--spec", path),
-                 ("--id", ("d0", "d1", "zz")), ("--bridge-step", _FLOATS), ("--new-id", ("s",))]
+                 ("--id", ("d0", "d1", "zz")), ("--bridge-step", _FLOATS), ("--new-id", ("s", ""))]
     elif command == "ingest":
         head = [path()]
         table = []
@@ -863,6 +869,13 @@ def _argv(draw, files):
     return argv
 
 
+def _strict_json(text):
+    """json.loads that refuses NaN and Infinity, which are not JSON."""
+    def refuse(name):
+        raise ValueError(f"{name} is not JSON")
+    return json.loads(text, parse_constant=refuse)
+
+
 @settings(max_examples=200, deadline=None, suppress_health_check=[HealthCheck.too_slow])
 @given(data=st.data())
 def test_cli_contract_holds_for_drawn_argv(fuzz_files, data):
@@ -875,5 +888,8 @@ def test_cli_contract_holds_for_drawn_argv(fuzz_files, data):
     assert code in (0, 1, 2)
     assert "Traceback" not in err
     if code == 1:
-        report = json.loads(err)
+        report = _strict_json(err)
         assert isinstance(report["error"], str) and isinstance(report["message"], str)
+    elif code == 0 and argv[0] in ("classify", "profile") and "--format" in argv \
+            and argv[argv.index("--format") + 1] == "json":
+        _strict_json(stdout.getvalue())

@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 from dvcurate import dvalgebra as dva
 from dvcurate import metadata
 from dvcurate.dvalgebra import CaseLabel
-from dvcurate.errors import EmptyDataset, KindMismatch, ZeroTargetSupport
+from dvcurate.errors import EmptyDataset, KindMismatch
 
 from conftest import (
     bin_camera_pos,
@@ -368,19 +368,6 @@ def test_thousands_of_sparse_cubes_take_little_memory():
 
 # ---------------------------------------------------------------------------
 # diversity ratio and the four cases
-
-def test_diversity_ratio_values():
-    t = dva.boxes2d_support([(0, 0, 1, 1)])
-    c = dva.boxes2d_support([(0, 0, 2, 3)])
-    assert dva.diversity_ratio(t, c) == 6.0
-    assert dva.diversity_ratio(t, t) == 1.0
-    empty = dva.boxes2d_support([])
-    assert dva.diversity_ratio(empty, empty) == 0.0
-    with pytest.raises(ZeroTargetSupport):
-        dva.diversity_ratio(empty, c)
-    with pytest.raises(KindMismatch):
-        dva.diversity_ratio(t, dva.discrete_support({"a"}))
-
 
 def _unit_boxes(n, gap=2.0):
     return [(i * gap, 0.0, i * gap + 1.0, 1.0) for i in range(n)]

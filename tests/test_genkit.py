@@ -125,7 +125,7 @@ def test_default_labs_roster():
     labs = genkit.default_labs()
     assert len(labs) == 8
     assert [cfg.lab for cfg in labs] == [f"lab{i}" for i in range(1, 9)]
-    assert [cfg.has_coffee_machine for cfg in labs] == [True] + [False] * 7
+    assert ["coffee-machine" in cfg.receptacles for cfg in labs] == [True] + [False] * 7
     for cfg in labs:
         assert len(cfg.objects) == 7 and len(set(cfg.objects)) == 7
 
@@ -136,7 +136,7 @@ def test_default_labs_roster():
         {"objects": ("a", "b", "c")},
         {"objects": ("a",) * 7},
         {"receptacles": ()},
-        {"camera_bins": ("agent-front",)},
+        {"objects": tuple(f"obj{i}" for i in range(8))},
         {"spatial_combinations": 0},
     ],
 )

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from dvcurate import geometry as geo
 
-from conftest import cross_look_at_quat, cross_quat_rotate, cross_quat_rotate_many, quat_mul_many
+from conftest import cross_look_at_quat, cross_quat_rotate, cross_quat_rotate_many, quat_chordal, quat_mul_many
 
 IDENTITY = np.array([1.0, 0.0, 0.0, 0.0])
 
@@ -28,7 +28,7 @@ def vectors():
 @given(unit_quats())
 def test_quat_inverse_cancels(q):
     prod = geo.quat_mul(q, geo.quat_conj(q))
-    assert geo.quat_chordal(prod, IDENTITY) < 1e-9
+    assert quat_chordal(prod, IDENTITY) < 1e-9
 
 
 @given(unit_quats(), unit_quats(), vectors())
@@ -56,7 +56,7 @@ def test_quat_rotate_many_matches_scalar(q, vs)  :
 
 @given(unit_quats(), unit_quats())
 def test_slerp_endpoints_and_norm(qa, qb):
-    assert geo.quat_chordal(geo.quat_slerp(qa, qb, 0.0), qa) < 1e-9
+    assert quat_chordal(geo.quat_slerp(qa, qb, 0.0), qa) < 1e-9
     end = geo.quat_slerp(qa, qb, 1.0)
     # qb and -qb encode the same rotation; slerp takes the shorter arc.
     assert min(np.linalg.norm(end - qb), np.linalg.norm(end + qb)) < 1e-9
@@ -74,9 +74,9 @@ def test_slerp_nearly_parallel_falls_back_smoothly():
 
 @given(unit_quats(), unit_quats())
 def test_chordal_symmetric_and_sign_invariant(qa, qb):
-    assert geo.quat_chordal(qa, qb) == pytest.approx(geo.quat_chordal(qb, qa))
-    assert geo.quat_chordal(qa, qb) == pytest.approx(geo.quat_chordal(qa, -qb))
-    assert geo.quat_chordal(qa, qa) == pytest.approx(0.0, abs=1e-12)
+    assert quat_chordal(qa, qb) == pytest.approx(quat_chordal(qb, qa))
+    assert quat_chordal(qa, qb) == pytest.approx(quat_chordal(qa, -qb))
+    assert quat_chordal(qa, qa) == pytest.approx(0.0, abs=1e-12)
 
 
 def test_is_unit_quat_tolerance():
@@ -91,7 +91,7 @@ def test_pose_inverse_cancels(q, p, x)  :
     ip, iq = geo.pose_inverse(p, q)
     cp, cq = geo.pose_compose(p, q, ip, iq)
     assert np.allclose(cp, 0.0, atol=1e-9)
-    assert geo.quat_chordal(cq, IDENTITY) < 1e-9
+    assert quat_chordal(cq, IDENTITY) < 1e-9
     # applying pose then inverse returns the point
     y = geo.quat_rotate(q, x) + p
     back = geo.quat_rotate(iq, y) + ip
@@ -149,7 +149,7 @@ def test_rotmat_to_quat_roundtrip(q):
         geo.quat_rotate(q, np.array([0.0, 0.0, 1.0])),
     ])
     q2 = geo.rotmat_to_quat(m)
-    assert geo.quat_chordal(q, q2) < 1e-7
+    assert quat_chordal(q, q2) < 1e-7
 
 
 @pytest.mark.parametrize("axis", [(1.0, 0.0, 0.0), (0.0, 1.0, 0.0), (0.0, 0.0, 1.0)])
@@ -161,7 +161,7 @@ def test_rotmat_to_quat_near_half_turns(axis):
         geo.quat_rotate(q, np.eye(3)[i]) for i in range(3)
     ])
     q2 = geo.rotmat_to_quat(m)
-    assert geo.quat_chordal(q, q2) < 1e-7
+    assert quat_chordal(q, q2) < 1e-7
 
 
 def test_quat_norm_helper():

@@ -86,6 +86,10 @@ def test_query_validation():
         RetrievalQuery(objspat_center=(0, 0, 0), objspat_extent=(-0.1, 0.2, 0.2))
     with pytest.raises(SpecRangeError, match="at least one primitive"):
         RetrievalQuery(motion=frozenset())
+    with pytest.raises(SpecRangeError, match="three finite numbers"):
+        RetrievalQuery(campose_target=(0.0, float("nan"), 0.0))
+    with pytest.raises(SpecRangeError, match="three finite numbers"):
+        RetrievalQuery(objspat_center=(0.0, 0.0))
 
 
 def test_parse_query_full_form():
@@ -132,6 +136,21 @@ def test_parse_query_rejects_malformed(source):
     with pytest.raises(SpecSyntaxError) as err:
         retrieval.parse_query(source)
     assert err.value.line >= 1 and err.value.col >= 1
+
+
+@pytest.mark.parametrize(
+    "source,field",
+    [
+        ("(query :campose (:pos 1e999 0 0))", "campose.pos"),
+        ("(query :campose (:pos 0 0 0 :tol 0.1 1e999 0.1))", "campose.tol"),
+        ("(query :objspat (:center 0 -1e999 0))", "objspat.center"),
+        ("(query :objspat (:center 0 0 0 :extent 0.1 0.1 1e999))", "objspat.extent"),
+    ],
+)
+def test_parse_query_rejects_overflowing_numbers(source, field):
+    with pytest.raises(SpecRangeError, match="three finite numbers") as err:
+        retrieval.parse_query(source)
+    assert err.value.field == field
 
 
 def test_parse_query_rejects_empty_conjunction():
