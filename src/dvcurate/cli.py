@@ -39,8 +39,17 @@ def _output(path):
 
 
 def _read_ids(path) -> list[str]:
+    """One id per non-blank line.  An id may not hold whitespace, since
+    `sample-batches` writes a batch as its ids joined by spaces."""
+    ids = []
     with open(path, encoding="utf-8") as fh:
-        return [line.strip() for line in fh if line.strip()]
+        for number, line in enumerate(fh, 1):
+            rid = line.strip()
+            if len(rid.split()) > 1:
+                raise InputError(f"{path} line {number}: id {rid!r} contains whitespace")
+            if rid:
+                ids.append(rid)
+    return ids
 
 
 def _read_anchors(path) -> list[tuple[np.ndarray, np.ndarray]]:
@@ -244,13 +253,13 @@ def _cmd_sample_batches(args) -> int:
         seed=args.seed,
         batch_size=args.batch,
     )
-    if args.stats:
-        stats = sampler.stream_stats(stream, args.n)
-        if args.no_counts:
-            stats.pop("draw_counts", None)
-        _print_json(stats)
-    else:
-        with _output(args.out) as out:
+    with _output(args.out) as out:
+        if args.stats:
+            stats = sampler.stream_stats(stream, args.n)
+            if args.no_counts:
+                stats.pop("draw_counts", None)
+            _print_json(stats, out)
+        else:
             for ids in sampler.batches(stream, args.n):
                 out.write(" ".join(ids))
                 out.write("\n")
@@ -295,7 +304,7 @@ def build_parser() -> argparse.ArgumentParser:
     gen_sub = p_gen.add_subparsers(dest="gen_command", required=True)
     p_inst = gen_sub.add_parser("instances", help="enumerate task instances per lab")
     p_inst.add_argument("--labs", type=_POSITIVE_INT, default=genkit.DEFAULT_LAB_COUNT)
-    p_inst.add_argument("--spatial", type=int, default=genkit.DEFAULT_SPATIAL_COMBINATIONS)
+    p_inst.add_argument("--spatial", type=_POSITIVE_INT, default=genkit.DEFAULT_SPATIAL_COMBINATIONS)
     p_inst.add_argument("--coffee-lab", type=int, default=0)
     p_inst.add_argument("--format", choices=("text", "json"), default="text")
 

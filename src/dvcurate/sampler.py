@@ -12,12 +12,19 @@ u = gen.random(2 * batch_size) from the batch substream; slot k takes the
 target pool iff u[2k] < omega, and position floor(u[2k+1] * pool_size) in
 the chosen pool.  PCG64's random(n) equals n sequential random() calls, so
 this is the same stream as two scalar draws per slot.
+
+Each stream holds one object array `pool`, the target ids followed by the
+co-training ids, and a batch is one array lookup into it: the positions come
+from the uniforms by array arithmetic, with no per-slot Python.  A float64
+product truncated to an integer is exactly int(q * n), so the ids are those
+of the per-slot layout above.
 """
 
 from __future__ import annotations
 
-from collections import Counter
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+
+import numpy as np
 
 from .errors import EmptyPoolSelected
 from .rng import substream
@@ -34,6 +41,9 @@ class SampleStream:
     omega: float = OMEGA_DEFAULT
     seed: int = 0
     batch_size: int = 32
+    # target_ids + cotrain_ids as one object array; derived, so left out of
+    # the constructor, repr, eq and hash
+    pool: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "target_ids", tuple(self.target_ids))
@@ -46,22 +56,26 @@ class SampleStream:
             raise EmptyPoolSelected("omega > 0 with an empty target pool")
         if self.omega < 1.0 and not self.cotrain_ids:
             raise EmptyPoolSelected("omega < 1 with an empty cotrain pool")
+        ids = self.target_ids + self.cotrain_ids
+        object.__setattr__(self, "pool", np.fromiter(ids, dtype=object, count=len(ids)))
 
 
-def _batch_with_flags(stream: SampleStream, index: int) -> tuple[list, list]:
-    u = substream(stream.seed, _BATCH_DOMAIN, index).random(2 * stream.batch_size).tolist()
-    target, cotrain, omega = stream.target_ids, stream.cotrain_ids, stream.omega
-    n_target, n_cotrain = len(target), len(cotrain)
-    flags = [p < omega for p in u[0::2]]
-    ids = [target[int(q * n_target)] if f else cotrain[int(q * n_cotrain)]
-           for f, q in zip(flags, u[1::2])]
-    return ids, flags
+def _positions(stream: SampleStream, index: int) -> np.ndarray:
+    """Positions in `stream.pool` of batch `index`'s ids; a position below
+    len(target_ids) is a target draw."""
+    u = substream(stream.seed, _BATCH_DOMAIN, index).random(2 * stream.batch_size)
+    q = u[1::2]
+    n_target = len(stream.target_ids)
+    # an empty pool is never chosen: u < 1 always, and u < 0 never
+    return np.where(u[0::2] < stream.omega,
+                    (q * n_target).astype(np.intp),
+                    n_target + (q * len(stream.cotrain_ids)).astype(np.intp))
 
 
 def batch(stream: SampleStream, index: int) -> list:
     """Batch `index` of the stream: batch_size ids, deterministic per index,
     drawn by the uniform layout in the module docstring."""
-    return _batch_with_flags(stream, index)[0]
+    return stream.pool[_positions(stream, index)].tolist()
 
 
 def batches(stream: SampleStream, n_batches: int):
@@ -74,13 +88,16 @@ def stream_stats(stream: SampleStream, n_batches: int) -> dict:
     """Empirical mixture report over the first n_batches batches."""
     if n_batches < 1:
         raise ValueError(f"n_batches must be >= 1, got {n_batches}")
-    counts = Counter()
-    target_draws = 0
+    per_position = np.zeros(len(stream.pool), dtype=np.int64)
     for i in range(n_batches):
-        ids, flags = _batch_with_flags(stream, i)
-        counts.update(ids)
-        target_draws += sum(flags)
+        np.add.at(per_position, _positions(stream, i), 1)
+    # fold positions into ids: an id listed twice, or in both pools, is one key
+    counts = {}
+    for rid, n in zip(stream.pool.tolist(), per_position.tolist()):
+        if n:
+            counts[rid] = counts.get(rid, 0) + n
     total = n_batches * stream.batch_size
+    target_draws = int(per_position[:len(stream.target_ids)].sum())
     return {
         "omega": stream.omega,
         "batches": n_batches,
@@ -89,5 +106,5 @@ def stream_stats(stream: SampleStream, n_batches: int) -> dict:
         "target_draws": target_draws,
         "target_fraction": target_draws / total,
         "cotrain_fraction": (total - target_draws) / total,
-        "draw_counts": dict(counts),
+        "draw_counts": counts,
     }

@@ -5,9 +5,10 @@ The oracles here are written straight from the documented definitions
 retrieval, slab-sweep box unions) so the optimized implementations are
 checked against independent code, not against themselves.  The generation
 oracles (per-pixel value noise, per-element serialization, `np.cross`
-rotations, per-slot sampling) and the character-at-a-time s-expression
-scanner at the end are the code the fast paths replaced; the fast paths must
-reproduce their output bytes, forms, positions and errors exactly.
+rotations, per-slot sampling, Counter-based sampler stats) and the
+character-at-a-time s-expression scanner at the end are the code the fast
+paths replaced; the fast paths must reproduce their output bytes, forms,
+positions and errors exactly.
 """
 
 from __future__ import annotations
@@ -16,6 +17,7 @@ import json
 import os
 import pathlib
 import re
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -404,15 +406,46 @@ def quat_mul_many(q, quats):
     )
 
 
-def slot_batch(stream, index):
-    """Batch `index` with two scalar draws per slot: pool choice, position."""
+def _slot_draws(stream, index):
+    """(id, drawn from the target pool) per slot of batch `index`, with two
+    scalar draws per slot: pool choice, position."""
     gen = substream(stream.seed, sampler._BATCH_DOMAIN, index)
-    ids = []
+    draws = []
     for _ in range(stream.batch_size):
         pick_target = gen.random() < stream.omega
         pool = stream.target_ids if pick_target else stream.cotrain_ids
-        ids.append(pool[int(gen.random() * len(pool))])
-    return ids
+        draws.append((pool[int(gen.random() * len(pool))], pick_target))
+    return draws
+
+
+def slot_batch(stream, index):
+    """Batch `index` with two scalar draws per slot."""
+    return [rid for rid, _ in _slot_draws(stream, index)]
+
+
+def counter_stream_stats(stream, n_batches):
+    """`sampler.stream_stats` as it was before per-position counting: a
+    Counter over the ids of each batch, and the target draws summed from
+    per-slot pool flags."""
+    if n_batches < 1:
+        raise ValueError(f"n_batches must be >= 1, got {n_batches}")
+    counts = Counter()
+    target_draws = 0
+    for i in range(n_batches):
+        draws = _slot_draws(stream, i)
+        counts.update(rid for rid, _ in draws)
+        target_draws += sum(flag for _, flag in draws)
+    total = n_batches * stream.batch_size
+    return {
+        "omega": stream.omega,
+        "batches": n_batches,
+        "batch_size": stream.batch_size,
+        "total_draws": total,
+        "target_draws": target_draws,
+        "target_fraction": target_draws / total,
+        "cotrain_fraction": (total - target_draws) / total,
+        "draw_counts": dict(counts),
+    }
 
 
 # ---------------------------------------------------------------------------

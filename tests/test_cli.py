@@ -67,6 +67,8 @@ def test_usage_errors_exit_2(capsys):
         ["gen", "instances", "--labs", "2", "--coffee-lab", "9"],
         ["gen", "instances", "--labs", "2", "--coffee-lab", "2"],
         ["gen", "instances", "--coffee-lab", "-1"],
+        ["gen", "instances", "--spatial", "0"],
+        ["gen", "instances", "--spatial", "-1"],
         ["spec", "sample", "s.mlspec", "--seed", "1", "--count", "-2"],
         ["spec", "sample", "s.mlspec", "--seed", "1", "--count", "0"],
     ],
@@ -637,6 +639,55 @@ def test_sample_batches_lines_and_stats(capsys, tmp_path):
     assert abs(stats["target_fraction"] - 0.5) <= 3 * (0.25 / 10_000) ** 0.5
 
 
+def test_sample_batches_stats_go_to_out(capsys, tmp_path):
+    ids = tmp_path / "ids.txt"
+    ids.write_text("a0\na1\n")
+    argv = ("sample-batches", "--target", str(ids), "--cotrain", str(ids), "--seed", "5",
+            "--batch", "16", "--n", "4", "--stats")
+    code, printed, _ = run_cli(capsys, *argv)
+    assert code == 0
+    dest = tmp_path / "stats.json"
+    code, out, _ = run_cli(capsys, *argv, "--out", str(dest))
+    assert code == 0 and out == ""
+    assert dest.read_text() == printed
+    assert json.loads(printed)["total_draws"] == 64
+
+
+@pytest.mark.parametrize("side, bad", [("--target", "a b"), ("--cotrain", "a\tb"),
+                                       ("--target", "a\u2003b")])
+def test_sample_batches_refuses_ids_with_whitespace(capsys, tmp_path, side, bad):
+    good = tmp_path / "good.txt"
+    good.write_text("c1\nc2\n")
+    spaced = tmp_path / "spaced.txt"
+    spaced.write_text(f"  a0  \n\n{bad}\n", encoding="utf-8")
+    files = {"--target": good, "--cotrain": good, side: spaced}
+    code, out, err = run_cli(capsys, "sample-batches", "--target", str(files["--target"]),
+                             "--cotrain", str(files["--cotrain"]), "--seed", "1", "--batch", "4")
+    assert code == 1 and out == ""
+    report = json.loads(err)
+    assert report["error"] == "InputError"
+    assert str(spaced) in report["message"] and "line 3" in report["message"]
+
+
+def test_sample_batches_bytes_match_pinned_digests(capsys, tmp_path):
+    # digests of the per-slot sampler's output for these inputs: duplicate ids
+    # in each pool, and one id in both
+    target = tmp_path / "target.txt"
+    cotrain = tmp_path / "cotrain.txt"
+    target.write_text("\n".join([f"t{i}" for i in range(40)] + ["shared", "t3"]) + "\n")
+    cotrain.write_text("\n".join([f"c{i}" for i in range(212)] + ["shared", "c7"]) + "\n")
+    argv = ("sample-batches", "--target", str(target), "--cotrain", str(cotrain),
+            "--omega", "0.3", "--batch", "37", "--n", "50", "--seed", "20240607")
+    digests = {
+        (): "673e18efde626e0becb62b330dd5e869dfe89e375f7f0d83ac9ad77e964ca951",
+        ("--stats",): "a93def8614a73753d5e1a6c906fd3a5443e02668a99506fcc098e2c1d3035f36",
+    }
+    for extra, digest in digests.items():
+        code, out, _ = run_cli(capsys, *argv, *extra)
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
 @pytest.mark.parametrize(
     "argv",
     [
@@ -751,6 +802,9 @@ def fuzz_files(tmp_path_factory):
         "good": good,
         "truncated": put("truncated.jsonl", lines[0] + "\n" + lines[1][:60] + "\n"),
         "duplicate": put("duplicate.jsonl", lines[0] + "\n" + lines[0] + "\n"),
+        # d2's camera sits at the table centre (DegeneratePose); without it the
+        # corpus profiles, so `profile` and `classify` can exit 0
+        "profilable": put("profilable.jsonl", lines[0] + "\n" + lines[1] + "\n"),
         "wrong-types": put("wrong-types.jsonl", json.dumps({"id": 3, "steps": "x"}) + "\n"),
         "nan": put("nan.jsonl", json.dumps(nan_row) + "\n"),
         "not-utf8": put("not-utf8.jsonl", b"\xff\xfe{}\n"),
@@ -819,6 +873,13 @@ def _argv(draw, files):
 
     command = pick(("spec validate", "spec sample", "gen instances", "gen texture", "gen synth",
                     "ingest", "annotate", "profile", "classify", "retrieve", "sample-batches"))
+    # now and then a well-formed JSON run on a corpus that profiles, so that the
+    # stdout of exit-0 runs is checked as well
+    json_run = command in ("profile", "classify") and draw(st.integers(0, 2)) == 0
+
+    def corpus():
+        return files["profilable"] if json_run else path()
+
     out = ("--out", output)
     if command == "spec validate":
         head = [path() for _ in range(draw(st.integers(0, 2)))]
@@ -846,11 +907,11 @@ def _argv(draw, files):
         table = [("--color-table", path), ("--http-annotator", None),
                  ("--table-center", _CENTERS), ("--bin-table", path)]
     elif command == "profile":
-        head = [path()]
+        head = [corpus()]
         table = [("--cell", _FLOATS), ("--angular-cell", _FLOATS), ("--table-center", _CENTERS),
                  out, ("--format", _FORMATS)]
     elif command == "classify":
-        head = ["--target", path(), "--cotrain", path(),
+        head = ["--target", corpus(), "--cotrain", corpus(),
                 "--dv", pick(dvalgebra.DV_NAMES + ("bogus",))]
         table = [("--rho", _FLOATS), ("--cell", _FLOATS), ("--table-center", _CENTERS),
                  ("--format", _FORMATS)]
@@ -863,7 +924,7 @@ def _argv(draw, files):
         head = ["--target", path(), "--cotrain", path(), "--seed", pick(_SEEDS)]
         table = [("--omega", _FLOATS), ("--batch", _SMALL), ("--n", _SMALL), ("--stats", None),
                  ("--no-counts", None), out]
-    argv = command.split() + head + options(table)
+    argv = command.split() + head + (["--format", "json"] if json_run else options(table))
     if argv and draw(st.integers(0, 9)) == 0:  # now and then a required part goes missing
         del argv[draw(st.integers(0, len(argv) - 1))]
     return argv
@@ -893,3 +954,19 @@ def test_cli_contract_holds_for_drawn_argv(fuzz_files, data):
     elif code == 0 and argv[0] in ("classify", "profile") and "--format" in argv \
             and argv[argv.index("--format") + 1] == "json":
         _strict_json(stdout.getvalue())
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [("profile", "--format", "json")]
+    + [("classify", "--dv", dv, "--format", "json", "--rho", "1.5")
+       for dv in dvalgebra.DV_NAMES if dv != "tableTex"],  # no annotator measures tableTex
+    ids=" ".join,
+)
+def test_exit_0_json_reports_are_strict_json(capsys, fuzz_files, argv):
+    corpus = fuzz_files["profilable"]
+    files = ("--target", corpus, "--cotrain", corpus) if argv[0] == "classify" else (corpus,)
+    code, out, _ = run_cli(capsys, argv[0], *files, *argv[1:])
+    assert code == 0
+    report = _strict_json(out)
+    assert report["demo_count" if argv[0] == "profile" else "dv"]

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import json
 import math
 
 import pytest
@@ -11,7 +12,7 @@ from dvcurate.errors import EmptyPoolSelected
 from dvcurate.rng import substream
 from dvcurate.sampler import SampleStream
 
-from conftest import slot_batch
+from conftest import counter_stream_stats, slot_batch
 
 TARGET = ("t0", "t1", "t2")
 COTRAIN = ("c0", "c1", "c2", "c3", "c4")
@@ -37,6 +38,15 @@ def test_stream_validation():
         _stream(target_ids=())
     with pytest.raises(EmptyPoolSelected):
         _stream(cotrain_ids=())
+
+
+def test_pool_is_derived_state():
+    s = _stream()
+    assert s.pool.tolist() == list(TARGET + COTRAIN)
+    assert "pool" not in repr(s)
+    assert s == _stream() and hash(s) == hash(_stream())
+    with pytest.raises(TypeError):
+        SampleStream(TARGET, COTRAIN, pool=None)
 
 
 def test_unreachable_empty_pool_is_allowed():
@@ -152,12 +162,41 @@ def test_within_pool_draws_cover_both_pools():
 @pytest.mark.parametrize("batch_size", [1, 2, 33, 256])
 def test_one_draw_batch_matches_per_slot_draws(omega, batch_size):
     s = SampleStream(TARGET, COTRAIN, omega=omega, seed=1234, batch_size=batch_size)
-    counts = {}
     for index in range(12):
-        expected = slot_batch(s, index)
-        assert sampler.batch(s, index) == expected
-        for rid in expected:
-            counts[rid] = counts.get(rid, 0) + 1
-    stats = sampler.stream_stats(s, 12)
-    assert stats["draw_counts"] == counts
-    assert stats["target_draws"] == sum(n for rid, n in counts.items() if rid in TARGET)
+        assert sampler.batch(s, index) == slot_batch(s, index)
+    assert sampler.stream_stats(s, 12) == counter_stream_stats(s, 12)
+
+
+# ids from a wide range, and two that recur, so that pools hold duplicates and
+# share ids with each other
+_IDS = st.one_of(st.integers(0, 499).map("d{}".format), st.sampled_from(("shared", "dup")))
+
+
+@st.composite
+def _streams(draw, max_batch):
+    """Pools of 1-300 ids; at omega 0 (1) the target (co-training) pool may
+    be empty, since it is never chosen."""
+    omega = draw(st.one_of(st.sampled_from((0.0, 1.0)), st.floats(0.0, 1.0)))
+    pool = st.lists(_IDS, min_size=1, max_size=300)
+    target = draw(st.just([]) | pool) if omega == 0.0 else draw(pool)
+    cotrain = draw(st.just([]) | pool) if omega == 1.0 else draw(pool)
+    return SampleStream(tuple(target), tuple(cotrain), omega=omega,
+                        seed=draw(st.integers(0, 2**64 - 1)),
+                        batch_size=draw(st.integers(1, max_batch)))
+
+
+@given(stream=_streams(max_batch=600), index=st.integers(0, 2**32))
+@settings(max_examples=200, deadline=None)
+def test_pool_lookup_batch_matches_per_slot_oracle(stream, index):
+    assert sampler.batch(stream, index) == slot_batch(stream, index)
+
+
+@given(stream=_streams(max_batch=64), n_batches=st.integers(1, 4))
+@settings(max_examples=100, deadline=None)
+def test_stream_stats_matches_counter_oracle(stream, n_batches):
+    stats = sampler.stream_stats(stream, n_batches)
+    assert stats == counter_stream_stats(stream, n_batches)
+    # plain ints, not numpy scalars, so the report stays JSON
+    assert type(stats["target_draws"]) is int
+    assert all(type(n) is int for n in stats["draw_counts"].values())
+    assert json.loads(json.dumps(stats)) == stats
