@@ -63,6 +63,9 @@ DEFAULT_VERB_MAP = {
     "switch off": "turnOff",
 }
 
+# every label `motion_labels` can return
+MOTION_LABELS = frozenset(DEFAULT_VERB_MAP.values())
+
 _PREPOSITIONS = frozenset(
     "in into inside on onto to at within under over above behind beside near from with".split()
 )

@@ -12,19 +12,25 @@ insertion order.
 The index keeps record ids in a read-only object array, so the ids of a
 query's hits are gathered by one boolean take of that array and one
 `.tolist()`, with no Python work per hit.  Query texts go through the shared
-`sexpr` reader on every call; nothing is cached.
+`sexpr` reader on every call; nothing is cached.  The query builder checks
+each field once as it reads it, with C-level calls (`isinstance` on the three
+atoms of a triple, `map(isfinite, ...)`, `min` for positivity); the default
+tolerance and extent are known to be valid and are not checked again.
+A `:motion` label must be one `lexicon.motion_labels` can give
+(`lexicon.MOTION_LABELS`), and object and color names must be non-empty.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
+from math import isfinite
 
 import numpy as np
 
 from . import lexicon as lexmod
 from . import sexpr
 from .errors import DuplicateId, SpecRangeError, SpecSyntaxError
+from .sexpr import Number
 
 CAMPOSE_TOL_DEFAULT = (0.20, 0.20, 0.10)
 OBJSPAT_EXTENT_DEFAULT = (0.60, 0.60, 0.30)
@@ -46,33 +52,48 @@ class RetrievalQuery:
     def __post_init__(self):
         if self.object_include is not None and self.object_exclude is not None:
             raise SpecRangeError("object", "include and exclude are mutually exclusive")
-        if not any(
-            f is not None
-            for f in (
-                self.object_include,
-                self.object_exclude,
-                self.campose_target,
-                self.objspat_center,
-                self.color,
-                self.motion,
-            )
-        ):
+        if (self.object_include is None and self.object_exclude is None and self.campose_target is None
+                and self.objspat_center is None and self.color is None and self.motion is None):
             raise SpecRangeError("query", "at least one filter required")
-        for name, triple in (("campose.pos", self.campose_target), ("campose.tol", self.campose_tol),
-                             ("objspat.center", self.objspat_center), ("objspat.extent", self.objspat_extent)):
-            if triple is not None and (len(triple) != 3 or not all(map(math.isfinite, triple))):
-                raise SpecRangeError(name, f"must be three finite numbers, got {triple}")
-        for name, triple in (("campose.tol", self.campose_tol), ("objspat.extent", self.objspat_extent)):
-            if any(v <= 0 for v in triple):
-                raise SpecRangeError(name, f"all components must be > 0, got {triple}")
+        # the default tolerance and extent are valid, so only given ones are checked
+        tol, extent = self.campose_tol, self.objspat_extent
+        if self.campose_target is not None:
+            _check_finite("campose.pos", self.campose_target)
+        if tol is not CAMPOSE_TOL_DEFAULT:
+            _check_finite("campose.tol", tol)
+        if self.objspat_center is not None:
+            _check_finite("objspat.center", self.objspat_center)
+        if extent is not OBJSPAT_EXTENT_DEFAULT:
+            _check_finite("objspat.extent", extent)
+        if tol is not CAMPOSE_TOL_DEFAULT and min(tol) <= 0:
+            raise SpecRangeError("campose.tol", f"all components must be > 0, got {tol}")
+        if extent is not OBJSPAT_EXTENT_DEFAULT and min(extent) <= 0:
+            raise SpecRangeError("objspat.extent", f"all components must be > 0, got {extent}")
         if self.motion is not None and not self.motion:
             raise SpecRangeError("motion", "motion filter must name at least one primitive")
+
+
+def _check_finite(name: str, triple) -> None:
+    if len(triple) != 3 or not all(map(isfinite, triple)):
+        raise SpecRangeError(name, f"must be three finite numbers, got {triple}")
 
 
 def _triple(args, kw) -> tuple[float, float, float]:
     if len(args) != 3:
         raise SpecSyntaxError(f":{kw.name} takes exactly three numbers", kw.line, kw.col)
-    return tuple(sexpr.as_number(a, f":{kw.name}").value for a in args)
+    a, b, c = args
+    if not (isinstance(a, Number) and isinstance(b, Number) and isinstance(c, Number)):
+        for arg in args:
+            sexpr.as_number(arg, f":{kw.name}")  # raises at the first non-number
+    return a.value, b.value, c.value
+
+
+def _name(form, field: str, what: str) -> str:
+    """The text of a string atom, which must be non-empty."""
+    name = sexpr.as_string(form, what).value
+    if not name:
+        raise SpecRangeError(field, f"{field} name must be non-empty", form.line, form.col)
+    return name
 
 
 def _parse_object(form) -> tuple[str | None, str | None]:
@@ -81,7 +102,7 @@ def _parse_object(form) -> tuple[str | None, str | None]:
         raise SpecSyntaxError("expected (include ...) or (exclude ...)", head.line, head.col)
     if len(form.items) != 2:
         raise SpecSyntaxError(f"({head.name} ...) takes exactly one object name", head.line, head.col)
-    name = sexpr.as_string(form.items[1], "object name").value
+    name = _name(form.items[1], "object", "object name")
     return (name, None) if head.name == "include" else (None, name)
 
 
@@ -99,9 +120,10 @@ def _parse_subform(kw, args) -> dict:
     required, fields = _SUBFORMS[kw.name]
     values = {}
     for skw, sargs in sexpr.keyword_fields(args[0].items, f"(:{required} ...)"):
-        if skw.name not in fields:
+        field = fields.get(skw.name)
+        if field is None:
             raise SpecSyntaxError(f"unknown {kw.name} field :{skw.name}", skw.line, skw.col)
-        values[fields[skw.name]] = _triple(sargs, skw)
+        values[field] = _triple(sargs, skw)
     if fields[required] not in values:
         raise SpecSyntaxError(f":{kw.name} requires :{required}", kw.line, kw.col)
     return values
@@ -126,22 +148,28 @@ def query_from_form(form: sexpr.Form) -> RetrievalQuery:
     sexpr.head_symbol(form, "query")
     values: dict = {}
     for kw, args in sexpr.keyword_fields(form.items[1:], "(query ...)"):
-        if kw.name == "object":
+        name = kw.name
+        if name == "object":
             if len(args) != 1:
                 raise SpecSyntaxError(":object takes exactly one form", kw.line, kw.col)
             values["object_include"], values["object_exclude"] = _parse_object(args[0])
-        elif kw.name in _SUBFORMS:
+        elif name in _SUBFORMS:
             values.update(_parse_subform(kw, args))
-        elif kw.name == "color":
+        elif name == "color":
             if len(args) != 1:
                 raise SpecSyntaxError(":color takes exactly one string", kw.line, kw.col)
-            values["color"] = sexpr.as_string(args[0], ":color").value
-        elif kw.name == "motion":
+            values["color"] = _name(args[0], "color", ":color")
+        elif name == "motion":
             if not args:
                 raise SpecSyntaxError(":motion takes at least one primitive", kw.line, kw.col)
-            values["motion"] = frozenset(sexpr.as_symbol(a, "primitive").name for a in args)
+            labels = frozenset([sexpr.as_symbol(a, "primitive").name for a in args])
+            if not labels <= lexmod.MOTION_LABELS:
+                unknown = next(a.name for a in args if a.name not in lexmod.MOTION_LABELS)
+                raise SpecRangeError("motion", f"unknown label {unknown!r}, expected one of "
+                                     f"{', '.join(sorted(lexmod.MOTION_LABELS))}", kw.line, kw.col)
+            values["motion"] = labels
         else:
-            raise SpecSyntaxError(f"unknown query field :{kw.name}", kw.line, kw.col)
+            raise SpecSyntaxError(f"unknown query field :{name}", kw.line, kw.col)
     return RetrievalQuery(**values)
 
 

@@ -9,8 +9,15 @@ The reader takes one match of a single compiled pattern per token: the match
 skips blanks and comments, and its named group gives the token's kind.  A
 position is derived from newline offsets, so only '\n' breaks a line: line is
 1 + the number of '\n' before the token, column is the token's offset minus
-that of the last '\n' before it.  Only text that matches no token takes the
-slower path that works out which error it is.
+that of the last '\n' before it.  Newlines are counted only in text that holds
+one (spec files); in one-line text, such as a typical query, the column is the
+offset + 1.  Only text that matches no token takes the slower path that works
+out which error it is.  Nothing is cached: every call reads its text afresh.
+
+Atoms are slotted dataclasses: building one sets three slots, where a frozen
+dataclass calls `object.__setattr__` per field.  An atom equals only an atom
+of the same class with the same value, line and column.  Atoms are not
+hashable; nothing hashes them.
 """
 
 from __future__ import annotations
@@ -43,28 +50,28 @@ _ESCAPE_RE = re.compile(r"\\(.?)", re.DOTALL)
 _ESCAPES = {'"': '"', "\\": "\\", "n": "\n", "t": "\t"}
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class Symbol:
     name: str
     line: int
     col: int
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class Keyword:
     name: str
     line: int
     col: int
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class String:
     value: str
     line: int
     col: int
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class Number:
     value: float
     line: int
@@ -88,6 +95,8 @@ def _line_col(source: str, pos: int) -> tuple[int, int]:
 
 def _unescape(source: str, start: int, end: int) -> str:
     """The string body `source[start:end]` with its escapes decoded."""
+    if source.find("\\", start, end) < 0:
+        return source[start:end]
     out = []
     last = start
     for m in _ESCAPE_RE.finditer(source, start, end):
@@ -123,40 +132,34 @@ def _token_error(source: str, pos: int) -> SpecSyntaxError:
 def _read(source: str, single: bool) -> list[Form]:
     """Top-level forms of `source`; with `single`, exactly one.
 
-    One `_TOKEN_RE` match per token; lists are built on an explicit stack, and
-    the '\n' between tokens are counted once each to track line and column.
+    One `_TOKEN_RE` match per token; lists are built on an explicit stack.
+    In text with a '\n', the '\n' between tokens are counted once each to
+    track line and column; in one-line text a column is the offset + 1.
     """
-    match = _TOKEN_RE.match
+    multiline = "\n" in source
     count = source.count
     forms: list = []
     stack: list[SList] = []
     items = forms
-    pos = 0
     line, line_start, counted = 1, -1, 0  # '\n' before `counted` are in `line`
-    while True:
-        m = match(source, pos)
+    for m in _TOKEN_RE.finditer(source):
         kind = m.lastgroup
-        start, pos = m.span(kind)
-        breaks = count("\n", counted, start)
-        if breaks:
-            line += breaks
-            line_start = source.rfind("\n", counted, start)
-        counted = start
+        start = m.start(kind)
+        if multiline:
+            breaks = count("\n", counted, start)
+            if breaks:
+                line += breaks
+                line_start = source.rfind("\n", counted, start)
+            counted = start
         col = start - line_start
-        if kind == "end":
-            if stack:
-                raise SpecSyntaxError("unbalanced '(': missing ')'", stack[-1].line, stack[-1].col)
-            if single and not forms:
-                raise SpecSyntaxError("empty input", 1, 1)
-            return forms
-        if single and forms and not stack:
+        if not stack and single and forms and kind != "end":
             raise SpecSyntaxError("unexpected trailing input", line, col)
-        if kind == "sym":
-            items.append(Symbol(m.group(kind), line, col))
-        elif kind == "num":
-            items.append(Number(float(m.group(kind)), line, col))
+        if kind == "num":
+            items.append(Number(float(source[start:m.end()]), line, col))
+        elif kind == "sym":
+            items.append(Symbol(source[start:m.end()], line, col))
         elif kind == "kw":
-            items.append(Keyword(source[start + 1:pos], line, col))
+            items.append(Keyword(source[start + 1:m.end()], line, col))
         elif kind == "open":
             lst = SList([], line, col)
             items.append(lst)
@@ -168,7 +171,13 @@ def _read(source: str, single: bool) -> list[Form]:
             stack.pop()
             items = stack[-1].items if stack else forms
         elif kind == "str":
-            items.append(String(_unescape(source, start + 1, pos - 1), line, col))
+            items.append(String(_unescape(source, start + 1, m.end() - 1), line, col))
+        elif kind == "end":
+            if stack:
+                raise SpecSyntaxError("unbalanced '(': missing ')'", stack[-1].line, stack[-1].col)
+            if single and not forms:
+                raise SpecSyntaxError("empty input", 1, 1)
+            return forms
         else:
             raise _token_error(source, start)
 
@@ -207,20 +216,18 @@ def keyword_fields(items: list[Form], context: str) -> list[tuple[Keyword, list[
     """
     fields: list[tuple[Keyword, list[Form]]] = []
     seen: set[str] = set()
-    i = 0
-    while i < len(items):
-        kw = items[i]
-        if not isinstance(kw, Keyword):
-            raise SpecSyntaxError(f"expected a :keyword in {context}", *position(kw))
-        if kw.name in seen:
-            raise SpecSyntaxError(f"duplicate :{kw.name} in {context}", kw.line, kw.col)
-        seen.add(kw.name)
-        args: list[Form] = []
-        i += 1
-        while i < len(items) and not isinstance(items[i], Keyword):
-            args.append(items[i])
-            i += 1
-        fields.append((kw, args))
+    args = None
+    for item in items:
+        if isinstance(item, Keyword):
+            if item.name in seen:
+                raise SpecSyntaxError(f"duplicate :{item.name} in {context}", item.line, item.col)
+            seen.add(item.name)
+            args = []
+            fields.append((item, args))
+        elif args is None:
+            raise SpecSyntaxError(f"expected a :keyword in {context}", *position(item))
+        else:
+            args.append(item)
     return fields
 
 

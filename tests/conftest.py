@@ -6,14 +6,16 @@ retrieval, slab-sweep box unions) so the optimized implementations are
 checked against independent code, not against themselves.  The generation
 oracles (per-pixel value noise, per-element serialization, `np.cross`
 rotations, per-slot sampling, Counter-based sampler stats) and the
-character-at-a-time s-expression scanner at the end are the code the fast
-paths replaced; the fast paths must reproduce their output bytes, forms,
-positions and errors exactly.
+character-at-a-time s-expression scanner and the query builder at the end are
+the code the fast paths replaced; the fast paths must reproduce their output
+bytes, forms, positions and errors exactly.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import json
+import math
 import os
 import pathlib
 import re
@@ -22,9 +24,10 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from dvcurate import metadata, sampler
-from dvcurate.errors import SpecSyntaxError
+from dvcurate import lexicon, metadata, sampler, sexpr
+from dvcurate.errors import SpecRangeError, SpecSyntaxError
 from dvcurate.geometry import cartesian_from_spherical, rotmat_to_quat
+from dvcurate.retrieval import RetrievalQuery
 from dvcurate.rng import substream
 from dvcurate.sexpr import Form, Keyword, Number, SList, String, Symbol
 
@@ -587,3 +590,130 @@ def scanner_read_one(source: str) -> Form:
     if sc.peek() != "":
         raise SpecSyntaxError("unexpected trailing input", sc.line, sc.col)
     return form
+
+
+# ---------------------------------------------------------------------------
+# query builder oracle: `query_from_form`, its sub-form parsers, the
+# generator-based `RetrievalQuery` checks and `sexpr.keyword_fields` as they
+# were before the one-pass checks, on top of the scanner above.  The two
+# rules added since (non-empty names, motion labels that `lexicon` can
+# produce) sit where the fast path raises them.
+
+def _oracle_keyword_fields(items, context):
+    fields = []
+    seen = set()
+    i = 0
+    while i < len(items):
+        kw = items[i]
+        if not isinstance(kw, Keyword):
+            raise SpecSyntaxError(f"expected a :keyword in {context}", kw.line, kw.col)
+        if kw.name in seen:
+            raise SpecSyntaxError(f"duplicate :{kw.name} in {context}", kw.line, kw.col)
+        seen.add(kw.name)
+        args = []
+        i += 1
+        while i < len(items) and not isinstance(items[i], Keyword):
+            args.append(items[i])
+            i += 1
+        fields.append((kw, args))
+    return fields
+
+
+def _oracle_name(form, field, what):
+    name = sexpr.as_string(form, what).value
+    if not name:
+        raise SpecRangeError(field, f"{field} name must be non-empty", form.line, form.col)
+    return name
+
+
+def _oracle_triple(args, kw):
+    if len(args) != 3:
+        raise SpecSyntaxError(f":{kw.name} takes exactly three numbers", kw.line, kw.col)
+    return tuple(sexpr.as_number(a, f":{kw.name}").value for a in args)
+
+
+def _oracle_object(form):
+    head = sexpr.head_symbol(form)
+    if head.name not in ("include", "exclude"):
+        raise SpecSyntaxError("expected (include ...) or (exclude ...)", head.line, head.col)
+    if len(form.items) != 2:
+        raise SpecSyntaxError(f"({head.name} ...) takes exactly one object name", head.line, head.col)
+    name = _oracle_name(form.items[1], "object", "object name")
+    return (name, None) if head.name == "include" else (None, name)
+
+
+_ORACLE_SUBFORMS = {
+    "campose": ("pos", {"pos": "campose_target", "tol": "campose_tol"}),
+    "objspat": ("center", {"center": "objspat_center", "extent": "objspat_extent"}),
+}
+
+
+def _oracle_subform(kw, args):
+    if len(args) != 1 or not isinstance(args[0], SList):
+        raise SpecSyntaxError(f":{kw.name} takes exactly one (...) form", kw.line, kw.col)
+    required, fields = _ORACLE_SUBFORMS[kw.name]
+    values = {}
+    for skw, sargs in _oracle_keyword_fields(args[0].items, f"(:{required} ...)"):
+        if skw.name not in fields:
+            raise SpecSyntaxError(f"unknown {kw.name} field :{skw.name}", skw.line, skw.col)
+        values[fields[skw.name]] = _oracle_triple(sargs, skw)
+    if fields[required] not in values:
+        raise SpecSyntaxError(f":{kw.name} requires :{required}", kw.line, kw.col)
+    return values
+
+
+def _oracle_checked_query(values) -> RetrievalQuery:
+    """The query of `values`, checked as `RetrievalQuery.__post_init__` did,
+    built without running the program's own checks."""
+    q = object.__new__(RetrievalQuery)
+    for f in dataclasses.fields(RetrievalQuery):
+        object.__setattr__(q, f.name, values.get(f.name, f.default))
+    if q.object_include is not None and q.object_exclude is not None:
+        raise SpecRangeError("object", "include and exclude are mutually exclusive")
+    if not any(
+        f is not None
+        for f in (q.object_include, q.object_exclude, q.campose_target, q.objspat_center, q.color, q.motion)
+    ):
+        raise SpecRangeError("query", "at least one filter required")
+    for name, triple in (("campose.pos", q.campose_target), ("campose.tol", q.campose_tol),
+                         ("objspat.center", q.objspat_center), ("objspat.extent", q.objspat_extent)):
+        if triple is not None and (len(triple) != 3 or not all(map(math.isfinite, triple))):
+            raise SpecRangeError(name, f"must be three finite numbers, got {triple}")
+    for name, triple in (("campose.tol", q.campose_tol), ("objspat.extent", q.objspat_extent)):
+        if any(v <= 0 for v in triple):
+            raise SpecRangeError(name, f"all components must be > 0, got {triple}")
+    if q.motion is not None and not q.motion:
+        raise SpecRangeError("motion", "motion filter must name at least one primitive")
+    return q
+
+
+def oracle_query_from_form(form) -> RetrievalQuery:
+    sexpr.head_symbol(form, "query")
+    values = {}
+    for kw, args in _oracle_keyword_fields(form.items[1:], "(query ...)"):
+        if kw.name == "object":
+            if len(args) != 1:
+                raise SpecSyntaxError(":object takes exactly one form", kw.line, kw.col)
+            values["object_include"], values["object_exclude"] = _oracle_object(args[0])
+        elif kw.name in _ORACLE_SUBFORMS:
+            values.update(_oracle_subform(kw, args))
+        elif kw.name == "color":
+            if len(args) != 1:
+                raise SpecSyntaxError(":color takes exactly one string", kw.line, kw.col)
+            values["color"] = _oracle_name(args[0], "color", ":color")
+        elif kw.name == "motion":
+            if not args:
+                raise SpecSyntaxError(":motion takes at least one primitive", kw.line, kw.col)
+            values["motion"] = frozenset(sexpr.as_symbol(a, "primitive").name for a in args)
+            known = set(lexicon.DEFAULT_VERB_MAP.values())
+            for a in args:
+                if a.name not in known:
+                    raise SpecRangeError("motion", f"unknown label {a.name!r}, expected one of "
+                                         f"{', '.join(sorted(known))}", kw.line, kw.col)
+        else:
+            raise SpecSyntaxError(f"unknown query field :{kw.name}", kw.line, kw.col)
+    return _oracle_checked_query(values)
+
+
+def oracle_parse_query(source: str) -> RetrievalQuery:
+    return oracle_query_from_form(scanner_read_one(source))

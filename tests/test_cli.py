@@ -444,6 +444,8 @@ def _side_file(tmp_path, data):
         ("ingest-directory", "IsADirectory"),
         ("retrieve-query-directory", "IsADirectory"),
         ("retrieve-overflowing-query-number", "SpecRangeError"),
+        ("retrieve-unknown-motion-label", "SpecRangeError"),
+        ("retrieve-empty-object-name", "SpecRangeError"),
         ("spec-not-utf8", "UnicodeDecode"),
         ("synth-without-goal", "InputError"),
         ("synth-empty-corpus", "EmptyDataset"),
@@ -501,6 +503,10 @@ def test_bad_inputs_exit_1_with_a_report(capsys, tmp_path, monkeypatch, corpus, 
         "retrieve-query-directory": lambda: ["retrieve", "--corpus", corpus, "--query", str(tmp_path)],
         "retrieve-overflowing-query-number": lambda: ["retrieve", "--corpus", corpus, "--report",
                                                       "--query-text", "(query :campose (:pos 1e999 0 0))"],
+        "retrieve-unknown-motion-label": lambda: ["retrieve", "--corpus", corpus,
+                                                  "--query-text", "(query :motion fly)"],
+        "retrieve-empty-object-name": lambda: ["retrieve", "--corpus", corpus,
+                                               "--query-text", '(query :object (include ""))'],
         "spec-not-utf8": lambda: ["spec", "validate", _side_file(tmp_path, b"(task :name \xff)")],
         "synth-without-goal": lambda: ["gen", "synth", "--demos", corpus, "--anchors", anchors(),
                                        "--out", out],
@@ -917,7 +923,8 @@ def _argv(draw, files):
                  ("--format", _FORMATS)]
     elif command == "retrieve":
         source = (["--query", path()] if draw(st.booleans()) else
-                  ["--query-text", pick(('(query :color "red")', "(query", "(query :motion pick)"))])
+                  ["--query-text", pick(('(query :color "red")', "(query", "(query :motion pick)",
+                                              "(query :motion fly)", '(query :object (include ""))'))])
         head = ["--corpus", path(), *source]
         table = [("--report", None), out]
     else:

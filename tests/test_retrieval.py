@@ -2,11 +2,15 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dvcurate import lexicon as lexmod
 from dvcurate import metadata, retrieval
 from dvcurate.errors import DuplicateId, SpecRangeError, SpecSyntaxError
 from dvcurate.retrieval import RetrievalQuery
+
+from conftest import oracle_parse_query
 
 _DUMMY_STEPS = metadata.Steps(
     t=np.arange(2, dtype=np.int64),
@@ -165,6 +169,99 @@ def test_parse_query_file(tmp_path):
     assert len(queries) == 2
     assert queries[0].color == "red"
     assert queries[1].motion == frozenset({"pick"})
+
+
+def test_parse_query_accepts_every_label_motion_labels_can_give():
+    labels = sorted(set(lexmod.DEFAULT_VERB_MAP.values()))
+    assert labels == ["close", "open", "pick", "place", "pull", "push", "turnOff", "turnOn"]
+    q = retrieval.parse_query(f"(query :motion {' '.join(labels)})")
+    assert q.motion == frozenset(labels)
+
+
+@pytest.mark.parametrize(
+    "source,field,line,col",
+    [
+        ("(query :motion fly)", "motion", 1, 8),
+        ("(query :color \"red\"\n  :motion pick placeBin)", "motion", 2, 3),
+        ('(query :object (include ""))', "object", 1, 25),
+        ('(query :object (exclude ""))', "object", 1, 25),
+        ('(query :color "")', "color", 1, 15),
+    ],
+)
+def test_parse_query_rejects_unknown_labels_and_empty_names(source, field, line, col):
+    with pytest.raises(SpecRangeError) as err:
+        retrieval.parse_query(source)
+    assert (err.value.field, err.value.line, err.value.col) == (field, line, col)
+
+
+# ---------------------------------------------------------------------------
+# the one-pass query builder against the builder it replaced (conftest)
+
+# each field is mostly well formed: a valid value is drawn more often than
+# each of the faults next to it
+_QUERY_NUMBERS = ("0.5", "-0.25", "1", "2.5e-1", "0.1") * 4 + ("0", "-1", "1e999", "-1e999", "x", '"3"')
+_QUERY_NAMES = ('"mug"', '"pen"') * 4 + ('""', "mug", "1")
+_QUERY_LABELS = ("pick", "place", "push", "turnOn") * 3 + ("fly", "placeBin", '"pick"', "1")
+_QUERY_SEPARATORS = (" ", " ", " ", "\n", "\n  ", " ; note\n", "\t")
+_QUERY_FIELDS = ("object", "campose", "objspat", "color", "motion")
+
+
+@st.composite
+def _query_texts(draw):
+    def pick(values):
+        return draw(st.sampled_from(values))
+
+    def some(values, low, high):
+        return [pick(values) for _ in range(draw(st.integers(low, high)))]
+
+    def subform(required, optional, unknown):
+        if pick((False,) * 9 + (True,)):
+            return some(_QUERY_NUMBERS, 0, 1)
+        keys = [required] if pick((True,) * 5 + (False,)) else []
+        keys += some((optional, optional, unknown, required), 0, 2)
+        tokens = ["("]
+        for key in keys:
+            tokens += [key] + some(_QUERY_NUMBERS, *pick(((3, 3),) * 6 + ((2, 2), (4, 4))))
+        return tokens + [")"]
+
+    kinds = draw(st.lists(st.sampled_from(_QUERY_FIELDS), min_size=1, max_size=4, unique=True))
+    if pick((False,) * 19 + (True,)):
+        kinds = []
+    elif pick((False,) * 5 + (True,)):
+        kinds.insert(draw(st.integers(0, len(kinds))), pick(kinds + ["other", "other"]))
+    tokens = ["(", pick(("query",) * 19 + ("lookup",))]
+    for kind in kinds:
+        if kind == "object":
+            if pick((True,) * 9 + (False,)):
+                tokens += [":object", "(", pick(("include", "exclude") * 4 + ("find",)),
+                           *some(_QUERY_NAMES, *pick(((1, 1),) * 6 + ((0, 2),))), ")"]
+            else:
+                tokens += [":object", *some(_QUERY_NAMES, 0, 2)]
+        elif kind == "campose":
+            tokens += [":campose", *subform(":pos", ":tol", ":radius")]
+        elif kind == "objspat":
+            tokens += [":objspat", *subform(":center", ":extent", ":pos")]
+        elif kind == "color":
+            tokens += [":color", *some(_QUERY_NAMES, *pick(((1, 1),) * 6 + ((0, 2),)))]
+        elif kind == "motion":
+            tokens += [":motion", *some(_QUERY_LABELS, *pick(((1, 2),) * 6 + ((0, 3),)))]
+        else:
+            tokens += pick(([":weather", '"sunny"'], ["mug"], ["(", ")"]))
+    tokens.append(")")
+    return pick(("", "; header\n")) + "".join(t + pick(_QUERY_SEPARATORS) for t in tokens)
+
+
+def _query_outcome(parse, text):
+    try:
+        return "query", parse(text)
+    except (SpecSyntaxError, SpecRangeError) as exc:
+        return type(exc).__name__, str(exc), exc.line, exc.col
+
+
+@settings(max_examples=600, deadline=None)
+@given(_query_texts())
+def test_parse_query_matches_the_builder_oracle(text):
+    assert _query_outcome(retrieval.parse_query, text) == _query_outcome(oracle_parse_query, text)
 
 
 # ---------------------------------------------------------------------------

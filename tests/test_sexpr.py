@@ -123,6 +123,16 @@ def test_head_symbol_checks_name():
         sexpr.head_symbol(sexpr.read_one("()"))
 
 
+def test_atoms_compare_by_class_value_and_position():
+    assert sexpr.Symbol("pick", 1, 2) == sexpr.Symbol("pick", 1, 2)
+    assert sexpr.Symbol("pick", 1, 2) != sexpr.Keyword("pick", 1, 2)
+    assert sexpr.String("1", 1, 2) != sexpr.Symbol("1", 1, 2)
+    assert sexpr.Number(1.0, 1, 2) != sexpr.String(1.0, 1, 2)
+    assert sexpr.Symbol("pick", 1, 2) != sexpr.Symbol("pick", 1, 3)
+    assert sexpr.Symbol("pick", 1, 2) != sexpr.Symbol("pick", 2, 2)
+    assert sexpr.read_one("(a :a)").items == [sexpr.Symbol("a", 1, 2), sexpr.Keyword("a", 1, 4)]
+
+
 def test_atom_coercions():
     num, string, sym = sexpr.read_all('1.5 "s" pick')
     assert sexpr.as_number(num, "n").value == 1.5
