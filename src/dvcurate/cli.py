@@ -88,12 +88,7 @@ def _cmd_spec_sample(args) -> int:
 
 
 def _cmd_gen_instances(args) -> int:
-    labs = genkit.default_labs(
-        count=args.labs,
-        coffee_lab_index=args.coffee_lab,
-        spatial_combinations=args.spatial,
-    )
-    summary = genkit.enumeration_summary(genkit.enumerate_instances(labs))
+    summary = genkit.enumeration_summary(genkit.enumerate_instances(args.labs, args.coffee_lab, args.spatial))
     if args.format == "json":
         _print_json(summary)
     else:

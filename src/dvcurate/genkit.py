@@ -6,8 +6,8 @@ bounds, hue wrap-aware.  The H, S and V fields are rendered together as one
 stacked array, with the interpolation indices and weights cached per axis
 length; every pixel takes the same float operations in the same order as a
 per-channel, per-pixel render, so the bytes are unchanged.  Lab enumeration
-expands the benchmark task templates per lab and crosses them with camera
-bins and spatial combinations.  Synthesis re-anchors object-centric
+counts each lab's tasks from one constant template table and crosses them
+with camera bins and spatial combinations.  Synthesis re-anchors object-centric
 trajectory segments with rigid transforms and bridges the junctions by
 linear/spherical interpolation.
 """
@@ -223,61 +223,8 @@ def write_ppm(path, raster: TextureRaster) -> None:
 
 DEFAULT_SPATIAL_COMBINATIONS = 90
 DEFAULT_LAB_COUNT = 8
-
-_OBJECT_POOL = (
-    "carrot",
-    "bowl",
-    "teapot",
-    "marker",
-    "cup",
-    "banana",
-    "mug",
-    "plate",
-    "apple",
-    "bottle",
-    "spoon",
-    "brush",
-    "block",
-    "towel",
-)
-
-
-@dataclass(frozen=True)
-class LabConfig:
-    lab: str
-    objects: tuple
-    receptacles: tuple
-    spatial_combinations: int = DEFAULT_SPATIAL_COMBINATIONS
-
-    def __post_init__(self):
-        if len(self.objects) != 7:
-            raise ConfigError(f"{self.lab}: object roster must have 7 entries, got {len(self.objects)}")
-        if len(set(self.objects)) != len(self.objects):
-            raise ConfigError(f"{self.lab}: duplicate objects in roster")
-        if not self.receptacles:
-            raise ConfigError(f"{self.lab}: receptacle roster must be non-empty")
-        if self.spatial_combinations < 1:
-            raise ConfigError(f"{self.lab}: spatial combinations must be >= 1")
-
-
-def default_labs(count: int = DEFAULT_LAB_COUNT,
-                 coffee_lab_index: int = 0,
-                 spatial_combinations: int = DEFAULT_SPATIAL_COMBINATIONS) -> tuple:
-    labs = []
-    for i in range(count):
-        objects = tuple(_OBJECT_POOL[(i + k) % len(_OBJECT_POOL)] for k in range(7))
-        receptacles = ("bin", "drawer", "microwave") + (
-            ("coffee-machine",) if i == coffee_lab_index else ()
-        )
-        labs.append(
-            LabConfig(
-                lab=f"lab{i + 1}",
-                objects=objects,
-                receptacles=receptacles,
-                spatial_combinations=spatial_combinations,
-            )
-        )
-    return tuple(labs)
+LAB_OBJECTS = 7
+LAB_APPLIANCES = 2
 
 
 @dataclass(frozen=True)
@@ -295,40 +242,38 @@ class LabEnumeration:
     crossed_count: int
 
 
-_APPLIANCES = ("drawer", "microwave")
+# Every lab: bin each object; open/close each appliance; open-then-store and
+# store-then-close for each appliance and object pair; stove on and off.
+_BASE_TEMPLATES = (
+    InstanceTemplate("bin-object", ("pick", "placeBin"), LAB_OBJECTS),
+    InstanceTemplate("open-appliance", ("open",), LAB_APPLIANCES),
+    InstanceTemplate("close-appliance", ("close",), LAB_APPLIANCES),
+    InstanceTemplate("open-pick-place", ("open", "pick", "place"), LAB_APPLIANCES * LAB_OBJECTS),
+    InstanceTemplate("pick-place-close", ("pick", "place", "close"), LAB_APPLIANCES * LAB_OBJECTS),
+    InstanceTemplate("stove-on", ("turnOn",), 1),
+    InstanceTemplate("stove-off", ("turnOff",), 1),
+)
+_COFFEE_TEMPLATES = _BASE_TEMPLATES + (InstanceTemplate("make-coffee", ("pick", "place", "close"), 1),)
 
 
-def enumerate_lab(config: LabConfig) -> LabEnumeration:
-    """Expand the task templates for one lab.
+def enumerate_instances(count: int = DEFAULT_LAB_COUNT, coffee_lab_index: int = 0,
+                        spatial_combinations: int = DEFAULT_SPATIAL_COMBINATIONS,
+                        ) -> list[LabEnumeration]:
+    """Task templates of labs `lab1`..`lab<count>`.
 
-    Base templates: bin each of the 7 objects; open/close each of the 2
-    appliances; open-then-store and store-then-close for each appliance and
-    object pair (14 each); stove on and off.  A lab with a coffee-machine
-    receptacle adds make-coffee.  The crossed count multiplies the default
-    camera bins of `metadata` by the configured spatial combinations.
+    Every lab has 7 objects and 2 appliances; the lab at `coffee_lab_index`
+    also has a coffee machine and adds make-coffee.  The crossed count
+    multiplies the default camera bins of `metadata` by the spatial
+    combinations.
     """
-    n_obj = len(config.objects)
-    n_app = len(_APPLIANCES)
-    templates = [
-        InstanceTemplate("bin-object", ("pick", "placeBin"), n_obj),
-        InstanceTemplate("open-appliance", ("open",), n_app),
-        InstanceTemplate("close-appliance", ("close",), n_app),
-        InstanceTemplate("open-pick-place", ("open", "pick", "place"), n_app * n_obj),
-        InstanceTemplate("pick-place-close", ("pick", "place", "close"), n_app * n_obj),
-        InstanceTemplate("stove-on", ("turnOn",), 1),
-        InstanceTemplate("stove-off", ("turnOff",), 1),
-    ]
-    if "coffee-machine" in config.receptacles:
-        templates.append(InstanceTemplate("make-coffee", ("pick", "place", "close"), 1))
-    base = sum(t.count for t in templates)
-    crossed = len(DEFAULT_CAMERA_BINS) * config.spatial_combinations
-    return LabEnumeration(config.lab, tuple(templates), base, crossed)
-
-
-def enumerate_instances(labs=None) -> list[LabEnumeration]:
-    """Per-lab template expansion over a lab roster (default: 8 labs)."""
-    labs = default_labs() if labs is None else labs
-    return [enumerate_lab(cfg) for cfg in labs]
+    if spatial_combinations < 1:
+        raise ConfigError(f"spatial combinations must be >= 1, got {spatial_combinations}")
+    crossed = len(DEFAULT_CAMERA_BINS) * spatial_combinations
+    enums = []
+    for i in range(count):
+        templates = _COFFEE_TEMPLATES if i == coffee_lab_index else _BASE_TEMPLATES
+        enums.append(LabEnumeration(f"lab{i + 1}", templates, sum(t.count for t in templates), crossed))
+    return enums
 
 
 def enumeration_summary(enums) -> dict:

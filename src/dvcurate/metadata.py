@@ -701,21 +701,20 @@ def _env_int(name: str, default: str) -> int:
 class HttpColorAnnotator:
     """POSTs {"id", "image_ref", "object"} and expects {"color": str}.
 
-    Configured by environment: DVC_ANNOTATOR_URL (required),
-    DVC_ANNOTATOR_TIMEOUT_MS (default 1000), DVC_ANNOTATOR_RETRIES (default 3).
+    Configured only by environment: DVC_ANNOTATOR_URL (required),
+    DVC_ANNOTATOR_TIMEOUT_MS (default 1000, at least 1), DVC_ANNOTATOR_RETRIES
+    (default 3).  `session` stands in for a `requests.Session`.
     """
 
-    def __init__(self, url: str | None = None, timeout_ms: int | None = None,
-                 retries: int | None = None, session=None):
-        self.url = url if url is not None else os.environ.get(ANNOTATOR_URL_ENV)
+    def __init__(self, session=None):
+        self.url = os.environ.get(ANNOTATOR_URL_ENV)
         if not self.url:
             raise AnnotatorUnavailable(f"{ANNOTATOR_URL_ENV} is not set")
-        if timeout_ms is None:
-            timeout_ms = _env_int(ANNOTATOR_TIMEOUT_ENV, "1000")
-        if retries is None:
-            retries = _env_int(ANNOTATOR_RETRIES_ENV, "3")
+        timeout_ms = _env_int(ANNOTATOR_TIMEOUT_ENV, "1000")
+        if timeout_ms < 1:  # requests refuses a timeout <= 0, and every color would be dropped
+            raise InputError(f"{ANNOTATOR_TIMEOUT_ENV} must be >= 1, got {timeout_ms}")
         self.timeout = timeout_ms / 1000.0
-        self.retries = max(retries, 1)
+        self.retries = max(_env_int(ANNOTATOR_RETRIES_ENV, "3"), 1)
         self.session = session or requests.Session()
 
     def color_of(self, record: DemoRecord) -> str:

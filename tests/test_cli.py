@@ -4,6 +4,8 @@ import hashlib
 import io
 import json
 import os
+import pathlib
+import shlex
 import subprocess
 import sys
 from contextlib import redirect_stderr, redirect_stdout
@@ -127,6 +129,32 @@ def test_spec_sample_to_file(capsys, tmp_path):
 
 
 # ---------------------------------------------------------------------------
+# README examples
+
+def _readme_cli_examples():
+    """Each `dvcurate ...` command of README's `## CLI` sh block, continuations joined."""
+    text = (pathlib.Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    section = text.split("\n## CLI\n", 1)[1]
+    block = section.split("```sh\n", 1)[1].split("```", 1)[0]
+    commands = []
+    for line in block.replace("\\\n", " ").splitlines():
+        argv = shlex.split(line, comments=True)
+        if argv:
+            assert argv[0] == "dvcurate", line
+            commands.append(argv[1:])
+    return commands
+
+
+def test_readme_cli_examples_parse():
+    examples = _readme_cli_examples()
+    assert len(examples) == 12
+    for argv in examples:
+        args = cli.build_parser().parse_args(argv)
+        if hasattr(args, "check"):
+            args.check(args)
+
+
+# ---------------------------------------------------------------------------
 # gen commands
 
 def test_gen_instances_text_and_json(capsys):
@@ -150,6 +178,23 @@ def test_gen_instances_custom_roster(capsys):
     coffee = [lab["lab"] for lab in summary["labs"]
               if any(t["name"] == "make-coffee" for t in lab["templates"])]
     assert coffee == ["lab2"]
+
+
+@pytest.mark.parametrize(
+    "argv,digest",
+    [
+        ((), "11c8a59bad674ce4ae7290a5d1bc6b1c25223eaf5398c1c8ad8ecaae6da12b2b"),
+        (("--format", "json"), "e534645b3476b00a90ea130f7d9c5e798dae975ff404b10129fa292aa93a50df"),
+        (("--labs", "3", "--spatial", "10", "--coffee-lab", "1", "--format", "json"),
+         "339e50d3c03da332eb3d9b9ae4ab6738f976660ae95c6c96d86ede42373ec9ab"),
+        (("--labs", "1", "--coffee-lab", "0"), "9cff72df4b39ac229c7ff3dcf17ff5c7ca1bbd59fc8e0f5b1392382aa9c2ea0e"),
+    ],
+)
+def test_gen_instances_output_matches_golden_digests(capsys, argv, digest):
+    # pinned from the per-lab object and receptacle rosters that preceded the template table
+    code, out, _ = run_cli(capsys, "gen", "instances", *argv)
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
 def test_gen_texture_writes_raster_and_ppm(capsys, tmp_path):
@@ -401,6 +446,20 @@ def test_annotate_unknown_color_label_is_loud(capsys, tmp_path, corpus):
                            "--color-table", str(colors))
     assert code == 1
     assert json.loads(err)["error"] == "UnrecognizedColor"
+
+
+@pytest.mark.parametrize("timeout_ms", ["0", "-5"])
+def test_annotate_refuses_a_timeout_below_1ms(capsys, tmp_path, monkeypatch, corpus, timeout_ms):
+    # requests refuses such a timeout on every try, which once left every color unset with exit 0
+    monkeypatch.setenv(metadata.ANNOTATOR_URL_ENV, "http://127.0.0.1:9/annotate")
+    monkeypatch.setenv(metadata.ANNOTATOR_TIMEOUT_ENV, timeout_ms)
+    out = tmp_path / "a.jsonl"
+    code, _, err = run_cli(capsys, "annotate", corpus, "--out", str(out), "--http-annotator")
+    assert code == 1
+    report = json.loads(err)
+    assert report["error"] == "InputError"
+    assert metadata.ANNOTATOR_TIMEOUT_ENV in report["message"]
+    assert not out.exists()
 
 
 def test_annotate_with_custom_bin_table(capsys, tmp_path, corpus):

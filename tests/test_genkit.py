@@ -122,41 +122,24 @@ def test_write_ppm(tmp_path):
 # lab enumeration
 
 def test_default_labs_roster():
-    labs = genkit.default_labs()
-    assert len(labs) == 8
-    assert [cfg.lab for cfg in labs] == [f"lab{i}" for i in range(1, 9)]
-    assert ["coffee-machine" in cfg.receptacles for cfg in labs] == [True] + [False] * 7
-    for cfg in labs:
-        assert len(cfg.objects) == 7 and len(set(cfg.objects)) == 7
+    enums = genkit.enumerate_instances()
+    assert len(enums) == 8
+    assert [e.lab for e in enums] == [f"lab{i}" for i in range(1, 9)]
+    assert [e.templates[-1].name == "make-coffee" for e in enums] == [True] + [False] * 7
+    for e in enums:
+        assert e.templates[0].name == "bin-object" and e.templates[0].count == 7
 
 
-@pytest.mark.parametrize(
-    "changes",
-    [
-        {"objects": ("a", "b", "c")},
-        {"objects": ("a",) * 7},
-        {"receptacles": ()},
-        {"objects": tuple(f"obj{i}" for i in range(8))},
-        {"spatial_combinations": 0},
-    ],
-)
-def test_lab_config_validation(changes):
-    base = dict(
-        lab="labX",
-        objects=tuple(f"obj{i}" for i in range(7)),
-        receptacles=("bin",),
-    )
-    base.update(changes)
+def test_enumerate_instances_rejects_zero_spatial_combinations():
     with pytest.raises(ConfigError):
-        genkit.LabConfig(**base)
+        genkit.enumerate_instances(spatial_combinations=0)
 
 
 def test_enumerate_lab_template_counts():
-    plain = genkit.enumerate_lab(genkit.default_labs()[1])
+    coffee, plain = genkit.enumerate_instances(count=2)
     assert [t.count for t in plain.templates] == [7, 2, 2, 14, 14, 1, 1]
     assert plain.base_count == 41
     assert plain.crossed_count == 5 * 90 == 450
-    coffee = genkit.enumerate_lab(genkit.default_labs()[0])
     assert [t.name for t in coffee.templates][-1] == "make-coffee"
     assert coffee.base_count == 42
 

@@ -721,36 +721,40 @@ class _AnnotatorHandler(BaseHTTPRequestHandler):
 
 
 @pytest.fixture
-def annotator_server():
+def annotator_server(monkeypatch):
+    """A live local annotator; DVC_ANNOTATOR_URL points at it."""
     server = HTTPServer(("127.0.0.1", 0), _AnnotatorHandler)
     _AnnotatorHandler.fail_first = 0
     _AnnotatorHandler.blank_first = 0
     _AnnotatorHandler.seen = []
     thread = threading.Thread(target=server.serve_forever, daemon=True)
     thread.start()
-    yield f"http://127.0.0.1:{server.server_port}/annotate"
+    url = f"http://127.0.0.1:{server.server_port}/annotate"
+    monkeypatch.setenv(metadata.ANNOTATOR_URL_ENV, url)
+    yield url
     server.shutdown()
     thread.join()
 
 
-def test_http_annotator_round_trip(annotator_server, monkeypatch):
-    monkeypatch.setenv(metadata.ANNOTATOR_URL_ENV, annotator_server)
+def test_http_annotator_round_trip(annotator_server):
     rec = metadata.parse_record(demo_row(rid="d9", annotations={"target_object": "mug"}))
     annotator = metadata.HttpColorAnnotator()
     assert metadata.annotate_color(rec, annotator) == "blue"  # navy folds to blue
     assert _AnnotatorHandler.seen[-1] == {"id": "d9", "image_ref": "d9", "object": "mug"}
 
 
-def test_http_annotator_retries_transient_failures(annotator_server):
+def test_http_annotator_retries_transient_failures(annotator_server, monkeypatch):
     _AnnotatorHandler.fail_first = 2
-    annotator = metadata.HttpColorAnnotator(url=annotator_server, retries=3)
+    monkeypatch.setenv(metadata.ANNOTATOR_RETRIES_ENV, "3")
+    annotator = metadata.HttpColorAnnotator()
     assert annotator.color_of(make_record(rid="r")) == "navy"
     assert len(_AnnotatorHandler.seen) == 3
 
 
-def test_http_annotator_retries_replies_without_color(annotator_server):
+def test_http_annotator_retries_replies_without_color(annotator_server, monkeypatch):
     _AnnotatorHandler.blank_first = 2
-    annotator = metadata.HttpColorAnnotator(url=annotator_server, retries=3)
+    monkeypatch.setenv(metadata.ANNOTATOR_RETRIES_ENV, "3")
+    annotator = metadata.HttpColorAnnotator()
     assert annotator.color_of(make_record(rid="r")) == "navy"
     assert len(_AnnotatorHandler.seen) == 3
     _AnnotatorHandler.blank_first = 99
@@ -773,19 +777,21 @@ class _ReplySession:
 
 
 @pytest.mark.parametrize("body", [5, "colorless", ["color"], None, {"color": None}, {"color": 5}])
-def test_http_annotator_retries_replies_that_hold_no_color_string(body):
+def test_http_annotator_retries_replies_that_hold_no_color_string(body, monkeypatch):
     session = _ReplySession(body)
-    annotator = metadata.HttpColorAnnotator(url="http://annotator.invalid", retries=2,
-                                            session=session)
+    monkeypatch.setenv(metadata.ANNOTATOR_URL_ENV, "http://annotator.invalid")
+    monkeypatch.setenv(metadata.ANNOTATOR_RETRIES_ENV, "2")
+    annotator = metadata.HttpColorAnnotator(session=session)
     with pytest.raises(AnnotatorUnavailable, match="after 2 tries"):
         annotator.color_of(make_record(rid="r"))
     assert session.posts == 2
     assert metadata.annotate_record(make_record(rid="r"), annotator).annotations.object_color is None
 
 
-def test_http_annotator_exhausts_retries(annotator_server):
+def test_http_annotator_exhausts_retries(annotator_server, monkeypatch):
     _AnnotatorHandler.fail_first = 99
-    annotator = metadata.HttpColorAnnotator(url=annotator_server, retries=2)
+    monkeypatch.setenv(metadata.ANNOTATOR_RETRIES_ENV, "2")
+    annotator = metadata.HttpColorAnnotator()
     with pytest.raises(AnnotatorUnavailable, match="after 2 tries"):
         annotator.color_of(make_record(rid="r"))
 
@@ -797,7 +803,6 @@ def test_http_annotator_requires_url(monkeypatch):
 
 
 def test_http_annotator_env_config(annotator_server, monkeypatch):
-    monkeypatch.setenv(metadata.ANNOTATOR_URL_ENV, annotator_server)
     monkeypatch.setenv(metadata.ANNOTATOR_TIMEOUT_ENV, "250")
     monkeypatch.setenv(metadata.ANNOTATOR_RETRIES_ENV, "4")
     annotator = metadata.HttpColorAnnotator()
@@ -809,7 +814,7 @@ def test_http_annotator_defaults_follow_readme(annotator_server, monkeypatch):
     # the README's annotator table documents 1000 ms and 3 attempts
     monkeypatch.delenv(metadata.ANNOTATOR_TIMEOUT_ENV, raising=False)
     monkeypatch.delenv(metadata.ANNOTATOR_RETRIES_ENV, raising=False)
-    annotator = metadata.HttpColorAnnotator(url=annotator_server)
+    annotator = metadata.HttpColorAnnotator()
     assert annotator.timeout == 1.0
     assert annotator.retries == 3
 
