@@ -53,17 +53,26 @@ def _read_ids(path) -> list[str]:
 
 
 def _read_anchors(path) -> list[tuple[np.ndarray, np.ndarray]]:
-    """A JSON list of {"pos": [x,y,z], "quat": [w,x,y,z]} anchor poses."""
-    with open(path, encoding="utf-8") as fh:
-        try:
-            anchors = [(np.asarray(a["pos"], dtype=float), np.asarray(a["quat"], dtype=float))
-                       for a in json.load(fh)]
-        except (KeyError, TypeError, ValueError) as exc:
-            raise InputError(f"bad anchors file {path}: {exc!r}") from None
-    if any(pos.shape != (3,) or quat.shape != (4,) for pos, quat in anchors):
-        raise InputError(f"bad anchors file {path}: each anchor needs a 3-vector pos and a 4-vector quat")
+    """A JSON list of {"pos": [x,y,z], "quat": [w,x,y,z]} anchor poses whose
+    values are finite JSON numbers."""
+    def bad(why: str) -> InputError:
+        return InputError(f"bad anchors file {path}: {why}")
+
+    try:
+        raw = [(a["pos"], a["quat"]) for a in metadata.load_json_file(path, "anchors file")]
+    except (KeyError, TypeError) as exc:
+        raise bad(repr(exc)) from None
+    if not all(isinstance(pos, list) and len(pos) == 3 and isinstance(quat, list) and len(quat) == 4
+               for pos, quat in raw):
+        raise bad("each anchor needs a 3-vector pos and a 4-vector quat")
+    if not all(metadata._numbers(pos + quat) for pos, quat in raw):  # float() reads "0.1" and true
+        raise bad("every pos and quat value must be a JSON number")
+    try:
+        anchors = [(np.array(pos, dtype=float), np.array(quat, dtype=float)) for pos, quat in raw]
+    except OverflowError:  # an integer past the float range
+        raise bad("every pos and quat value must be finite") from None
     if not all(np.isfinite(pos).all() and np.isfinite(quat).all() for pos, quat in anchors):
-        raise InputError(f"bad anchors file {path}: every pos and quat value must be finite")
+        raise bad("every pos and quat value must be finite")
     return anchors
 
 

@@ -130,7 +130,7 @@ class DegenerateAnchor(DVCurateError):
 
 
 class ConfigError(DVCurateError):
-    """Lab configuration violates roster-size requirements."""
+    """An enumeration setting is out of range (`spatial_combinations` < 1)."""
 
 
 class InputError(DVCurateError, ValueError):

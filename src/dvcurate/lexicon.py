@@ -21,8 +21,6 @@ import re
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.cluster.hierarchy import fcluster, linkage
-from scipy.spatial.distance import pdist
 
 from .errors import NoObjectFound, NoVerbFound, UnrecognizedColor
 from .rng import substream
@@ -261,13 +259,27 @@ def extract_candidates(instructions) -> list[ObjectCandidate]:
 
 
 def cluster_candidates(words: list[str]) -> np.ndarray:
-    """Cluster ids per word via average-linkage clustering on cosine distance."""
-    if len(words) == 1:
-        return np.zeros(1, dtype=int)
+    """Cluster ids per word via average-linkage clustering on cosine distance:
+    the two clusters with the smallest mean pairwise distance merge while it is
+    <= DEFAULT_CLUSTER_CUT (scipy's `fcluster(linkage(d, "average"), cut,
+    "distance")` partition).  Ids number the clusters by their first word."""
+    n = len(words)
     embeddings = default_embeddings()
     vecs = np.array([embeddings.vector(w) for w in words])
-    dists = np.clip(pdist(vecs, metric="cosine"), 0.0, None)
-    return fcluster(linkage(dists, method="average"), t=DEFAULT_CLUSTER_CUT, criterion="distance")
+    unit = vecs / np.linalg.norm(vecs, axis=1, keepdims=True)
+    dist = np.clip(1.0 - unit @ unit.T, 0.0, None)
+    np.fill_diagonal(dist, np.inf)  # no cluster merges with itself; merged-away ones get inf rows too
+    sizes = np.ones(n)
+    labels = np.arange(n)
+    while True:
+        i, j = sorted(divmod(int(dist.argmin()), n))  # j merges into i, so i is a cluster's first word
+        if not dist[i, j] <= DEFAULT_CLUSTER_CUT:
+            break
+        dist[i] = dist[:, i] = (sizes[i] * dist[i] + sizes[j] * dist[j]) / (sizes[i] + sizes[j])
+        dist[j] = dist[:, j] = np.inf
+        sizes[i] += sizes[j]
+        labels[labels == j] = i
+    return np.unique(labels, return_inverse=True)[1]
 
 
 def extract_target_object(instructions) -> str:

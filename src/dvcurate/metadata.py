@@ -53,11 +53,11 @@ import json
 import math
 import os
 import re
+import threading
 from dataclasses import dataclass, replace
 
 import numpy as np
 import orjson
-import requests
 
 from . import lexicon as lexmod
 from .errors import (
@@ -645,18 +645,27 @@ def _camera_bin(row) -> CameraBin:
     return CameraBin(label, *angles)
 
 
+def load_json_file(path, what: str):
+    """The JSON value in a side file.  A file that is not UTF-8 JSON, or that
+    nests too deep for the decoder, is an InputError naming it as `what`."""
+    with open(path, encoding="utf-8") as fh:
+        try:
+            return json.load(fh)
+        except (ValueError, RecursionError) as exc:
+            raise InputError(f"bad {what} {path}: {exc!r}") from None
+
+
 def load_bin_table(path) -> tuple[CameraBin, ...]:
     """Read a camera-bin table from JSON: a list of
     {"label","theta_center","phi_center","theta_width","phi_width"} with a
     string label, angles that are finite JSON numbers and positive widths."""
-    with open(path, encoding="utf-8") as fh:
-        try:
-            rows = json.load(fh)
-            if not isinstance(rows, list):
-                raise TypeError(f"expected a list of bins, got {type(rows).__name__}")
-            return tuple(_camera_bin(row) for row in rows)
-        except (KeyError, TypeError, ValueError, OverflowError) as exc:
-            raise InputError(f"bad camera-bin table {path}: {exc!r}") from None
+    rows = load_json_file(path, "camera-bin table")
+    try:
+        if not isinstance(rows, list):
+            raise TypeError(f"expected a list of bins, got {type(rows).__name__}")
+        return tuple(_camera_bin(row) for row in rows)
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
+        raise InputError(f"bad camera-bin table {path}: {exc!r}") from None
 
 
 # ---------------------------------------------------------------------------
@@ -671,11 +680,7 @@ class OfflineColorTable:
     @classmethod
     def from_json(cls, path):
         """Read a JSON object mapping record ids to color label strings."""
-        with open(path, encoding="utf-8") as fh:
-            try:
-                table = json.load(fh)
-            except ValueError as exc:
-                raise InputError(f"bad color table {path}: {exc!r}") from None
+        table = load_json_file(path, "color table")
         if not isinstance(table, dict):
             raise InputError(f"bad color table {path}: expected an object, got {type(table).__name__}")
         bad = next((rid for rid, label in table.items() if not isinstance(label, str)), None)
@@ -702,8 +707,10 @@ class HttpColorAnnotator:
     """POSTs {"id", "image_ref", "object"} and expects {"color": str}.
 
     Configured only by environment: DVC_ANNOTATOR_URL (required),
-    DVC_ANNOTATOR_TIMEOUT_MS (default 1000, at least 1), DVC_ANNOTATOR_RETRIES
-    (default 3).  `session` stands in for a `requests.Session`.
+    DVC_ANNOTATOR_TIMEOUT_MS (default 1000, at least 1 and at most
+    threading.TIMEOUT_MAX seconds), DVC_ANNOTATOR_RETRIES (default 3).
+    `session` stands in for a `requests.Session`.  `requests` is imported
+    here and in `color_of`, so no other command pays for its import.
     """
 
     def __init__(self, session=None):
@@ -713,11 +720,18 @@ class HttpColorAnnotator:
         timeout_ms = _env_int(ANNOTATOR_TIMEOUT_ENV, "1000")
         if timeout_ms < 1:  # requests refuses a timeout <= 0, and every color would be dropped
             raise InputError(f"{ANNOTATOR_TIMEOUT_ENV} must be >= 1, got {timeout_ms}")
+        if timeout_ms > threading.TIMEOUT_MAX * 1000:  # socket.settimeout raises OverflowError
+            raise InputError(f"{ANNOTATOR_TIMEOUT_ENV} must be <= {threading.TIMEOUT_MAX * 1000:.0f}, "
+                             f"got {timeout_ms}")
         self.timeout = timeout_ms / 1000.0
         self.retries = max(_env_int(ANNOTATOR_RETRIES_ENV, "3"), 1)
+        import requests
+
         self.session = session or requests.Session()
 
     def color_of(self, record: DemoRecord) -> str:
+        import requests
+
         payload = {
             "id": record.id,
             "image_ref": record.id,

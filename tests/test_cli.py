@@ -462,6 +462,20 @@ def test_annotate_refuses_a_timeout_below_1ms(capsys, tmp_path, monkeypatch, cor
     assert not out.exists()
 
 
+@pytest.mark.parametrize("timeout_ms", ["9300000000000", str(10**30)])
+def test_annotate_refuses_a_timeout_past_the_socket_limit(capsys, tmp_path, monkeypatch, corpus, timeout_ms):
+    # socket.settimeout raises OverflowError above threading.TIMEOUT_MAX seconds
+    monkeypatch.setenv(metadata.ANNOTATOR_URL_ENV, "http://127.0.0.1:9/annotate")
+    monkeypatch.setenv(metadata.ANNOTATOR_TIMEOUT_ENV, timeout_ms)
+    out = tmp_path / "a.jsonl"
+    code, _, err = run_cli(capsys, "annotate", corpus, "--out", str(out), "--http-annotator")
+    assert code == 1
+    report = json.loads(err)
+    assert report["error"] == "InputError"
+    assert metadata.ANNOTATOR_TIMEOUT_ENV in report["message"]
+    assert not out.exists()
+
+
 def test_annotate_with_custom_bin_table(capsys, tmp_path, corpus):
     bins = tmp_path / "bins.json"
     bins.write_text(json.dumps([
@@ -496,10 +510,13 @@ def _side_file(tmp_path, data):
         ("bin-table-string-centre", "InputError"),
         ("annotator-retries", "InputError"),
         ("anchors-bad-json", "InputError"),
+        ("anchors-deeply-nested", "InputError"),
         ("profile-camera-at-center", "DegeneratePose"),
         ("color-table-bad-json", "InputError"),
         ("color-table-list", "InputError"),
         ("color-table-number-label", "InputError"),
+        ("color-table-deeply-nested", "InputError"),
+        ("bin-table-deeply-nested", "InputError"),
         ("ingest-directory", "IsADirectory"),
         ("retrieve-query-directory", "IsADirectory"),
         ("retrieve-overflowing-query-number", "SpecRangeError"),
@@ -513,6 +530,9 @@ def _side_file(tmp_path, data):
         ("synth-nan-anchor-pos", "InputError"),
         ("synth-infinite-anchor-pos", "InputError"),
         ("synth-nan-anchor-quat", "InputError"),
+        ("synth-string-anchor-pos", "InputError"),
+        ("synth-boolean-anchor-quat", "InputError"),
+        ("synth-overflowing-anchor-pos", "InputError"),
         ("profile-number-camera-bin", "SchemaError"),
         ("ingest-list-target-object", "SchemaError"),
         ("ingest-deeply-nested", "SchemaError"),
@@ -521,6 +541,8 @@ def _side_file(tmp_path, data):
 )
 def test_bad_inputs_exit_1_with_a_report(capsys, tmp_path, monkeypatch, corpus, case, error):
     out = str(tmp_path / "out.jsonl")
+
+    deep = b"[" * 100_000  # deeper than the stdlib decoder recurses
 
     def anchors(count=2, pos=(0.1, 0.0, 0.0), quat=(1, 0, 0, 0)):
         path = tmp_path / "anchors.json"
@@ -550,6 +572,7 @@ def test_bad_inputs_exit_1_with_a_report(capsys, tmp_path, monkeypatch, corpus, 
         "annotator-retries": lambda: ["annotate", corpus, "--out", out, "--http-annotator"],
         "anchors-bad-json": lambda: ["gen", "synth", "--demos", corpus, "--goal", "pick,place",
                                      "--anchors", _side_file(tmp_path, "not json"), "--out", out],
+        "anchors-deeply-nested": lambda: synth(_side_file(tmp_path, deep)),
         "profile-camera-at-center": lambda: ["profile", write_jsonl(tmp_path / "c.jsonl", [
             demo_row(camera_pos=(0.0, 0.0, 0.0), annotations={"camera_bin": "agent-front"})])],
         "color-table-bad-json": lambda: ["annotate", corpus, "--out", out,
@@ -558,6 +581,10 @@ def test_bad_inputs_exit_1_with_a_report(capsys, tmp_path, monkeypatch, corpus, 
                                      "--color-table", _side_file(tmp_path, "[1,2]")],
         "color-table-number-label": lambda: ["annotate", corpus, "--out", out,
                                              "--color-table", _side_file(tmp_path, '{"r0": 5}')],
+        "color-table-deeply-nested": lambda: ["annotate", corpus, "--out", out,
+                                              "--color-table", _side_file(tmp_path, deep)],
+        "bin-table-deeply-nested": lambda: ["annotate", corpus, "--out", out,
+                                            "--bin-table", _side_file(tmp_path, deep)],
         "ingest-directory": lambda: ["ingest", str(tmp_path)],
         "retrieve-query-directory": lambda: ["retrieve", "--corpus", corpus, "--query", str(tmp_path)],
         "retrieve-overflowing-query-number": lambda: ["retrieve", "--corpus", corpus, "--report",
@@ -576,6 +603,10 @@ def test_bad_inputs_exit_1_with_a_report(capsys, tmp_path, monkeypatch, corpus, 
         "synth-nan-anchor-pos": lambda: synth(anchors(pos=(0.1, nan, 0.0))),
         "synth-infinite-anchor-pos": lambda: synth(anchors(pos=(inf, 0.0, 0.0))),
         "synth-nan-anchor-quat": lambda: synth(anchors(quat=(nan, 0, 0, 0))),
+        # float() and numpy read "0.1" and true as numbers, which JSON says they are not
+        "synth-string-anchor-pos": lambda: synth(anchors(pos=("0.1", "0", "0"))),
+        "synth-boolean-anchor-quat": lambda: synth(anchors(quat=(True, 0, 0, 0))),
+        "synth-overflowing-anchor-pos": lambda: synth(anchors(pos=(10**400, 0, 0))),
         "profile-number-camera-bin": lambda: ["profile", write_jsonl(tmp_path / "c.jsonl", [
             demo_row(annotations={"camera_bin": 7, "target_object": [1, 2]})])],
         "ingest-list-target-object": lambda: ["ingest", write_jsonl(tmp_path / "c.jsonl", [
@@ -824,6 +855,22 @@ def test_installed_entry_point_runs():
     assert "total base=329 crossed=3600" in proc.stdout
 
 
+_IMPORT_BOUNDARY = """
+import sys
+from dvcurate import cli
+assert cli.run(["--help"]) == 0
+print(" ".join(sorted(m for m in sys.modules if m.split(".")[0] in ("scipy", "requests", "urllib3"))))
+"""
+
+
+def test_cli_starts_without_scipy_or_requests():
+    # only `annotate --http-annotator` imports requests (the live-server annotator
+    # tests use it), and no command imports scipy, a test-only dependency
+    proc = subprocess.run([sys.executable, "-c", _IMPORT_BOUNDARY], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == ""
+
+
 # ---------------------------------------------------------------------------
 # contract fuzz: argv drawn from every subcommand and flag, over valid and
 # corrupted side files, exits 0, 1 or 2, never with a traceback, and every
@@ -874,6 +921,7 @@ def fuzz_files(tmp_path_factory):
         "nan": put("nan.jsonl", json.dumps(nan_row) + "\n"),
         "not-utf8": put("not-utf8.jsonl", b"\xff\xfe{}\n"),
         "empty": put("empty.txt", ""),
+        "deep": put("deep.json", "[" * 100_000),
         "dir": str(d),
         "subdir": str(d / "subdir"),
         "missing": str(d / "missing.jsonl"),
@@ -893,6 +941,9 @@ def fuzz_files(tmp_path_factory):
         "anchors": put("anchors.json", json.dumps([{"pos": [0.1, 0.0, 0.0], "quat": [1, 0, 0, 0]},
                                                    {"pos": [0.3, 0.2, 0.0], "quat": [1, 0, 0, 0]}])),
         "anchors-bad": put("anchors-bad.json", '[{"pos": [1]}]'),
+        "anchors-strings": put("anchors-strings.json",
+                               json.dumps([{"pos": ["0.1", "0", "0"], "quat": [True, 0, 0, 0]},
+                                           {"pos": [0.3, 0.2, 0.0], "quat": [1, 0, 0, 0]}])),
         "anchors-one": put("anchors-one.json",
                            json.dumps([{"pos": [0.1, 0.0, 0.0], "quat": [1, 0, 0, 0]}])),
         "anchors-nan": put("anchors-nan.json",

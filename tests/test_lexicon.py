@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import json
 import random
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -199,6 +200,66 @@ def test_unknown_words_do_not_join_category_clusters():
     labels = lexicon.cluster_candidates(["mug", "cup", "zzgibberish"])
     assert labels[0] == labels[1]
     assert labels[2] != labels[0]
+
+
+def _partition(labels) -> tuple[int, ...]:
+    """Labels renumbered by first occurrence, so equal partitions compare equal."""
+    first: dict[int, int] = {}
+    return tuple(first.setdefault(label, len(first)) for label in np.asarray(labels).tolist())
+
+
+_NOUNS = sorted({w for words in lexicon._NOUN_CATEGORIES.values() for w in words.split()})
+_UNKNOWN = ["zzgibberish", "qwxv", "blorp", "frobnitz"]
+
+
+@settings(max_examples=400, deadline=None)
+@given(words=st.lists(st.sampled_from(_NOUNS + _UNKNOWN), min_size=1, max_size=10),
+       repeats=st.lists(st.tuples(st.integers(0, 9), st.integers(0, 9)), max_size=3))
+def test_cluster_candidates_partition_matches_scipy_average_linkage(words, repeats):
+    # scipy is a test-only dependency: the program clusters in numpy
+    from scipy.cluster.hierarchy import fcluster, linkage
+    from scipy.spatial.distance import pdist
+
+    words = list(words)
+    for src, dst in repeats:  # repeated words give zero distances and tied merges
+        words[dst % len(words)] = words[src % len(words)]
+    got = lexicon.cluster_candidates(words)
+    assert len(got) == len(words)
+    if len(words) == 1:
+        assert _partition(got) == (0,)
+        return
+    embeddings = lexicon.default_embeddings()
+    dists = np.clip(pdist(np.array([embeddings.vector(w) for w in words]), "cosine"), 0.0, None)
+    want = fcluster(linkage(dists, "average"), t=lexicon.DEFAULT_CLUSTER_CUT, criterion="distance")
+    assert _partition(got) == _partition(want)
+
+
+class _SpreadEmbeddings:
+    """Random 3-d vectors: unlike the category table's, their cosine distances
+    spread over [0, 2], so many merges fall near the cut and the linkage rule
+    decides the partition."""
+
+    def __init__(self, seed: int):
+        self.rng = np.random.default_rng(seed)
+        self.table: dict[str, np.ndarray] = {}
+
+    def vector(self, word: str) -> np.ndarray:
+        return self.table.setdefault(word, self.rng.standard_normal(3))
+
+
+@settings(max_examples=300, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1),
+       words=st.lists(st.sampled_from("abcdefghijkl"), min_size=2, max_size=12))
+def test_cluster_candidates_partition_matches_scipy_where_the_linkage_rule_matters(seed, words):
+    from scipy.cluster.hierarchy import fcluster, linkage
+    from scipy.spatial.distance import pdist
+
+    embeddings = _SpreadEmbeddings(seed)
+    with mock.patch.object(lexicon, "default_embeddings", lambda: embeddings):
+        got = lexicon.cluster_candidates(words)
+    dists = np.clip(pdist(np.array([embeddings.vector(w) for w in words]), "cosine"), 0.0, None)
+    want = fcluster(linkage(dists, "average"), t=lexicon.DEFAULT_CLUSTER_CUT, criterion="distance")
+    assert _partition(got) == _partition(want)
 
 
 def test_majority_word_wins_within_cluster():

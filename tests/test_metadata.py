@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import json
+import socket
 import struct
 import threading
 from http.server import BaseHTTPRequestHandler, HTTPServer
@@ -808,6 +809,20 @@ def test_http_annotator_env_config(annotator_server, monkeypatch):
     annotator = metadata.HttpColorAnnotator()
     assert annotator.timeout == pytest.approx(0.25)
     assert annotator.retries == 4
+
+
+def test_http_annotator_takes_the_largest_timeout_a_socket_accepts(monkeypatch):
+    # one millisecond more is refused (tests/test_cli.py); socket.settimeout would overflow
+    largest = int(threading.TIMEOUT_MAX * 1000)
+    monkeypatch.setenv(metadata.ANNOTATOR_URL_ENV, "http://127.0.0.1:9/annotate")
+    monkeypatch.setenv(metadata.ANNOTATOR_TIMEOUT_ENV, str(largest))
+    annotator = metadata.HttpColorAnnotator(session=object())
+    assert annotator.timeout == largest / 1000
+    with socket.socket() as sock:
+        sock.settimeout(annotator.timeout)
+    monkeypatch.setenv(metadata.ANNOTATOR_TIMEOUT_ENV, str(largest + 1))
+    with pytest.raises(InputError, match=metadata.ANNOTATOR_TIMEOUT_ENV):
+        metadata.HttpColorAnnotator(session=object())
 
 
 def test_http_annotator_defaults_follow_readme(annotator_server, monkeypatch):
