@@ -16,6 +16,7 @@ import argparse
 import contextlib
 import json
 import math
+import os
 import sys
 
 import numpy as np
@@ -30,11 +31,12 @@ def _print_json(obj, stream=None) -> None:
 
 @contextlib.contextmanager
 def _output(path):
-    """The text file at `path`, opened for writing, or stdout when no path is given."""
+    """The text file at `path`, rewritten in place (`metadata.overwrite`), or stdout
+    when no path is given."""
     if not path:
         yield sys.stdout
         return
-    with open(path, "w", encoding="utf-8") as fh:
+    with metadata.overwrite(path, text=True) as fh:
         yield fh
 
 
@@ -167,6 +169,10 @@ def _cmd_ingest(args) -> int:
 
 
 def _cmd_annotate(args) -> int:
+    # the records are read while the output is written, so one file cannot be both
+    with contextlib.suppress(OSError):  # a path that does not exist names no file yet
+        if os.path.samefile(args.file, args.out):
+            raise InputError(f"annotate would overwrite its input: {args.out} is {args.file}")
     annotator = None
     if args.color_table:
         annotator = metadata.OfflineColorTable.from_json(args.color_table)

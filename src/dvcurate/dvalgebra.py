@@ -501,7 +501,7 @@ def profile_report(p) -> str:
 
 def save_profile(path, p) -> None:
     """Write a DatasetProfile, or its profile_to_dict form, as JSON."""
-    with open(path, "w", encoding="utf-8") as fh:
+    with metamod.overwrite(path, text=True) as fh:
         json.dump(_as_dict(p), fh, indent=2, sort_keys=True)
         fh.write("\n")
 

@@ -30,7 +30,7 @@ from .geometry import (
     quat_rotate,
     quat_slerp,
 )
-from .metadata import DEFAULT_CAMERA_BINS, DemoRecord, Steps, gripper_transitions
+from .metadata import DEFAULT_CAMERA_BINS, DemoRecord, Steps, gripper_transitions, overwrite
 from .rng import substream
 from .taskspec import PredicateSequence, TextureSpec
 
@@ -172,7 +172,7 @@ def raster_within(spec: TextureSpec, raster: TextureRaster) -> bool:
 
 def write_raster(path, raster: TextureRaster) -> None:
     """Binary raster: magic, uint32 width/height, float32 HSV per pixel."""
-    with open(path, "wb") as fh:
+    with overwrite(path) as fh:
         fh.write(RASTER_MAGIC)
         fh.write(struct.pack("<II", raster.width, raster.height))
         fh.write(raster.pixels.astype("<f4").tobytes())
@@ -213,7 +213,7 @@ def _hsv_to_rgb(pixels: np.ndarray) -> np.ndarray:
 def write_ppm(path, raster: TextureRaster) -> None:
     """Portable pixmap export (P6, 8-bit) for eyeballing textures."""
     rgb = np.clip(_hsv_to_rgb(raster.pixels) * 255.0 + 0.5, 0, 255).astype(np.uint8)
-    with open(path, "wb") as fh:
+    with overwrite(path) as fh:
         fh.write(f"P6\n{raster.width} {raster.height}\n255\n".encode("ascii"))
         fh.write(rgb.tobytes())
 

@@ -40,6 +40,10 @@ a record goes to `orjson` only when every string is printable ASCII and
 every float is 0 or has 1e-4 <= |x| < 1e16, where `orjson` writes what
 `repr` does, and the annotation position holds only floats; any other
 record is encoded whole by the stdlib, which also raises where it always did.
+An existing output file is rewritten in place and then cut to the bytes
+written (`overwrite`), not truncated first: on an ext4 mounted with
+`discard`, freeing a written-back file's blocks took 30-90 ms per 1-2 MB,
+against under 1 ms to write the same bytes over them.
 
 Annotations derive the per-demo DV measurements: target object from the
 instructions, object position from the first smoothed gripper close, object
@@ -48,11 +52,13 @@ color from a pluggable annotator, and the camera-pose bin.
 
 from __future__ import annotations
 
+import contextlib
 import itertools
 import json
 import math
 import os
 import re
+import stat
 import threading
 from dataclasses import dataclass, replace
 
@@ -511,10 +517,14 @@ def write_records(path, records) -> int:
     stdlib does (`_orjson_exact`: printable ASCII, floats 0 or of magnitude
     in [1e-4, 1e16)) is encoded by orjson, about 4x faster; any other record
     is encoded whole by the stdlib, which raises for a value it cannot write.
-    The lines written before such an error stay in the file.
+    The lines written before such an error stay in the file, and nothing else.
+
+    An existing file is rewritten in place and cut to the new length
+    (`overwrite`) rather than truncated on open, which frees its blocks and
+    cost up to ~80 ms per call (see the module docstring).
     """
     n = 0
-    with open(path, "wb") as fh:
+    with overwrite(path) as fh:
         for rec in records:
             fh.write(_encode(rec))
             n += 1
@@ -653,6 +663,28 @@ def load_json_file(path, what: str):
             return json.load(fh)
         except (ValueError, RecursionError) as exc:
             raise InputError(f"bad {what} {path}: {exc!r}") from None
+
+
+@contextlib.contextmanager
+def overwrite(path, text: bool = False):
+    """A buffered binary (or UTF-8 text) file that rewrites `path` in place.
+
+    The file is opened without truncation, so an existing file keeps its
+    blocks and its mode; a new one gets 0o666 less the umask, as `open(path,
+    "w")` gives.  On exit, normal or by an exception, the buffer is flushed
+    and a regular file is cut to the bytes written, so it holds exactly them
+    and none of the old file's tail.  Other files (a FIFO, /dev/null, a
+    terminal) are never truncated.
+    """
+    fd = os.open(path, os.O_WRONLY | os.O_CREAT, 0o666)
+    with open(fd, "w" if text else "wb", encoding="utf-8" if text else None) as fh:
+        try:
+            yield fh
+        finally:
+            fh.flush()
+            st = os.fstat(fd)
+            if stat.S_ISREG(st.st_mode) and st.st_size > (end := os.lseek(fd, 0, os.SEEK_CUR)):
+                os.ftruncate(fd, end)
 
 
 def load_bin_table(path) -> tuple[CameraBin, ...]:

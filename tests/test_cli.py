@@ -537,10 +537,19 @@ def _side_file(tmp_path, data):
         ("ingest-list-target-object", "SchemaError"),
         ("ingest-deeply-nested", "SchemaError"),
         ("ingest-deeply-nested-closed", "SchemaError"),
+        # the records are read while the output is written
+        ("annotate-out-is-input", "InputError"),
+        ("annotate-out-is-symlink-to-input", "InputError"),
     ],
 )
 def test_bad_inputs_exit_1_with_a_report(capsys, tmp_path, monkeypatch, corpus, case, error):
     out = str(tmp_path / "out.jsonl")
+    corpus_bytes = pathlib.Path(corpus).read_bytes()
+
+    def symlink_to_corpus():
+        link = tmp_path / "link.jsonl"
+        link.symlink_to(corpus)
+        return str(link)
 
     deep = b"[" * 100_000  # deeper than the stdlib decoder recurses
 
@@ -614,6 +623,8 @@ def test_bad_inputs_exit_1_with_a_report(capsys, tmp_path, monkeypatch, corpus, 
         "ingest-deeply-nested": lambda: ["ingest", _side_file(tmp_path, b"[" * 200_000)],
         "ingest-deeply-nested-closed": lambda: ["ingest", _side_file(
             tmp_path, b"[" * 200_000 + b"]" * 200_000 + b"\n")],
+        "annotate-out-is-input": lambda: ["annotate", corpus, "--out", corpus],
+        "annotate-out-is-symlink-to-input": lambda: ["annotate", corpus, "--out", symlink_to_corpus()],
     }[case]()
     # the URL is never contacted: the retries setting fails first
     monkeypatch.setenv(metadata.ANNOTATOR_URL_ENV, "http://127.0.0.1:9/annotate")
@@ -621,6 +632,47 @@ def test_bad_inputs_exit_1_with_a_report(capsys, tmp_path, monkeypatch, corpus, 
     code, _, err = run_cli(capsys, *argv)
     assert code == 1
     assert json.loads(err)["error"] == error
+    assert pathlib.Path(corpus).read_bytes() == corpus_bytes
+
+
+# every command that writes a file, with OUT in the place of that file
+_WRITERS = {
+    "annotate": ("annotate", "{corpus}", "--out", "OUT"),
+    "gen-texture": ("gen", "texture", WRAPPED_HUE, "--seed", "3", "--width", "8", "--height", "4",
+                    "--out", "OUT"),
+    "gen-texture-ppm": ("gen", "texture", WRAPPED_HUE, "--seed", "3", "--width", "8", "--height", "4",
+                        "--out", "{tmp}/t.dvtx", "--ppm", "OUT"),
+    "profile": ("profile", "{corpus}", "--out", "OUT"),
+    "retrieve": ("retrieve", "--corpus", "{corpus}", "--query-text", "(query :motion pick push)",
+                 "--out", "OUT"),
+    "spec-sample": ("spec", "sample", WRAPPED_HUE, "--seed", "1", "--count", "2", "--out", "OUT"),
+    "sample-batches": ("sample-batches", "--target", "{ids}", "--cotrain", "{ids}", "--seed", "1",
+                       "--n", "3", "--out", "OUT"),
+}
+
+
+def _writer_argv(name, tmp_path, corpus, out):
+    ids = tmp_path / "ids.txt"
+    ids.write_text("d0\nd1\nd2\n")
+    fields = {"corpus": corpus, "tmp": str(tmp_path), "ids": str(ids)}
+    return [out if arg == "OUT" else arg.format(**fields) for arg in _WRITERS[name]]
+
+
+@pytest.mark.parametrize("name", sorted(_WRITERS))
+def test_writers_rewrite_an_existing_file_to_the_bytes_of_a_fresh_one(capsys, tmp_path, corpus, name):
+    fresh, old = tmp_path / "fresh", tmp_path / "old"
+    assert run_cli(capsys, *_writer_argv(name, tmp_path, corpus, str(fresh)))[0] == 0
+    want = fresh.read_bytes()
+    old.write_bytes(b"\xff" * (len(want) + 4096))
+    assert run_cli(capsys, *_writer_argv(name, tmp_path, corpus, str(old)))[0] == 0
+    assert old.read_bytes() == want
+
+
+@pytest.mark.parametrize("name", sorted(_WRITERS))
+def test_writers_write_to_dev_null(capsys, tmp_path, corpus, name):
+    # a character device is written but never truncated
+    code, _, err = run_cli(capsys, *_writer_argv(name, tmp_path, corpus, os.devnull))
+    assert code == 0 and err == ""
 
 
 def test_profile_text_json_and_save(capsys, tmp_path, corpus):

@@ -1,7 +1,9 @@
 from __future__ import annotations
 
 import json
+import os
 import socket
+import stat
 import struct
 import threading
 from http.server import BaseHTTPRequestHandler, HTTPServer
@@ -1044,3 +1046,69 @@ def test_write_records_raises_the_stdlib_error_and_keeps_the_lines_before_it(tmp
     assert type(got.value) is type(want.value) and str(got.value) == str(want.value)
     assert "float32" in str(got.value)
     assert path.read_bytes() == _stdlib_lines(good)
+
+
+@given(st.lists(_drawn_records(), min_size=1, max_size=3), st.sampled_from(["longer", "shorter", "same"]),
+       st.integers(1, 4096), st.randoms(use_true_random=False))
+@settings(max_examples=300, deadline=None)
+def test_write_records_over_an_existing_file_matches_a_fresh_write(tmp_path_factory, records, old_size,
+                                                                   change, rng):
+    d = tmp_path_factory.mktemp("rewrite")
+    fresh, old = d / "fresh.jsonl", d / "old.jsonl"
+    metadata.write_records(fresh, records)
+    want = fresh.read_bytes()
+    size = {"longer": len(want) + change, "shorter": max(len(want) - change, 0), "same": len(want)}[old_size]
+    old.write_bytes(rng.randbytes(size))
+    assert metadata.write_records(old, records) == len(records)
+    assert old.read_bytes() == want == _stdlib_lines(records)
+
+
+@pytest.mark.parametrize("k", [1, 2, 4])
+def test_write_records_error_over_a_longer_file_leaves_only_the_lines_before_it(tmp_path, k):
+    records = [make_record(rid=f"ok{i}", n=5) for i in range(4)]
+    records[k - 1] = _with_position(make_record(rid="bad", n=5), (np.float32(0.25), 0.0, 0.0))
+    path = tmp_path / "out.jsonl"
+    path.write_bytes(b"old\n" * 10_000)
+    with pytest.raises(TypeError):
+        metadata.write_records(path, records)
+    assert path.read_bytes() == _stdlib_lines(records[:k - 1])
+
+
+@pytest.mark.parametrize("umask", [0o022, 0o077, 0o002], ids=oct)
+@pytest.mark.parametrize("text", [False, True])
+def test_overwrite_gives_open_modes(tmp_path, umask, text):
+    new, existing = tmp_path / "new", tmp_path / "existing"
+    existing.write_bytes(b"old bytes")
+    existing.chmod(0o604)
+    old_umask = os.umask(umask)
+    try:
+        for path in (new, existing):
+            with metadata.overwrite(path, text=text) as fh:
+                fh.write("x" if text else b"x")
+    finally:
+        os.umask(old_umask)
+    assert stat.S_IMODE(new.stat().st_mode) == 0o666 & ~umask
+    assert stat.S_IMODE(existing.stat().st_mode) == 0o604
+    assert new.read_bytes() == existing.read_bytes() == b"x"
+
+
+def test_overwrite_does_not_truncate_on_open(tmp_path):
+    path = tmp_path / "out.json"
+    path.write_bytes(b"\0" * 5000)
+    with metadata.overwrite(path, text=True) as fh:
+        assert path.stat().st_size == 5000
+        fh.write("café\n")
+    assert path.read_bytes() == "café\n".encode("utf-8")
+
+
+def test_overwrite_writes_to_a_fifo(tmp_path):
+    # a FIFO has no offset to cut at: lseek on it raises ESPIPE
+    path = tmp_path / "fifo"
+    os.mkfifo(path)
+    got = []
+    reader = threading.Thread(target=lambda: got.append(path.read_bytes()), daemon=True)
+    reader.start()
+    with metadata.overwrite(path) as fh:
+        fh.write(b"line\n")
+    reader.join(timeout=10)
+    assert got == [b"line\n"]
