@@ -36,10 +36,15 @@ faster, but writes other bytes for some values: non-ASCII text as raw UTF-8
 (the stdlib escapes it), DEL (U+007F) unescaped, and floats below 1e-4 or from
 1e16 up in its own notation (`0.00001` for `1e-05`, `1e16` for `1e+16`, null
 for NaN and infinities); it raises on lone surrogates and numpy scalars.  So
-a record goes to `orjson` only when every string is printable ASCII and
-every float is 0 or has 1e-4 <= |x| < 1e16, where `orjson` writes what
-`repr` does, and the annotation position holds only floats; any other
-record is encoded whole by the stdlib, which also raises where it always did.
+a record goes to `orjson` only when every string is printable ASCII and the
+annotation position holds only floats; any other record is encoded whole by
+the stdlib, which also raises where it always did.  Where such a record holds
+a float that is neither 0 nor of magnitude in [1e-4, 1e16), the range where
+`orjson` writes what `repr` does, the float goes in as a placeholder string
+that is then replaced by the stdlib's text of it.  So a record's encoding
+cost does not depend on its floats: about 10 % of generated demos carry a
+step coordinate below 1e-4, and encoding each of them whole by the stdlib
+made a write's time vary by up to 60 % from one corpus to the next.
 An existing output file is rewritten in place and then cut to the bytes
 written (`overwrite`), not truncated first: on an ext4 mounted with
 `discard`, freeing a written-back file's blocks took 30-90 ms per 1-2 MB,
@@ -475,48 +480,85 @@ def _printable_ascii(text) -> bool:
     return type(text) is str and text.isascii() and text.isprintable()
 
 
-def _orjson_exact(record: DemoRecord, obj: dict) -> bool:
-    """Whether `orjson.dumps(obj)` gives the bytes of the stdlib's compact `json.dumps`.
+def _orjson_safe(obj: dict) -> bool:
+    """Whether orjson writes every string of `obj` as the stdlib does and raises on none of its values.
 
-    True when every string of `obj` is printable ASCII (orjson writes other
-    text as raw UTF-8 where the stdlib escapes it, and raises on lone
-    surrogates) and every float is 0 or has _REPR_MIN <= |x| < _REPR_MAX.
-    Strings must be `str` and position coordinates `float`, since a
-    hand-built record may hold numpy scalars (on which orjson raises) or text
-    there; every other value of `obj` comes from `.tolist()`.
+    True when every string is printable ASCII (orjson writes other text as
+    raw UTF-8 where the stdlib escapes it, and raises on lone surrogates) and
+    every position coordinate is a `float`: strings must be `str` and the
+    position `float`s, since a hand-built record may hold numpy scalars (on
+    which orjson raises) or text there; every other value of `obj` comes
+    from `.tolist()`.
     """
     texts = [obj["id"], obj["lab"], *obj["instructions"]]
-    floats = [record.camera_pos, record.camera_quat,
-              record.steps.ee_pos, record.steps.ee_quat, record.steps.gripper]
     ann = obj["annotations"]
     if ann is not None:
         texts += [label for name in _LABELS if (label := ann[name]) is not None]
         pos = ann["object_position"]
-        if pos is not None:
-            if not all(type(v) is float for v in pos):
-                return False
-            floats.append(pos)
-    if not all(map(_printable_ascii, texts)):
-        return False
-    mag = np.abs(np.concatenate([np.asarray(f, dtype=float).ravel() for f in floats]))
-    return bool((((mag >= _REPR_MIN) & (mag < _REPR_MAX)) | (mag == 0.0)).all())
+        if pos is not None and not all(type(v) is float for v in pos):
+            return False
+    return all(map(_printable_ascii, texts))
+
+
+def _off_repr(values) -> np.ndarray:
+    """Mask of the floats that orjson writes otherwise than `repr`: neither 0
+    nor of magnitude in [_REPR_MIN, _REPR_MAX)."""
+    mag = np.abs(np.asarray(values, dtype=float))
+    return ~(((mag >= _REPR_MIN) & (mag < _REPR_MAX)) | (mag == 0.0))
+
+
+def _off_repr_sites(record: DemoRecord, obj: dict) -> list:
+    """The (list or dict, key) of each float of `obj` that orjson writes otherwise than `repr`."""
+    steps, pos = record.steps, obj["annotations"] and obj["annotations"]["object_position"]
+    arrays = [record.camera_pos, record.camera_quat, steps.ee_pos, steps.ee_quat, steps.gripper,
+              *([pos] if pos else [])]
+    if not _off_repr(np.concatenate([np.asarray(a, dtype=float).ravel() for a in arrays])).any():
+        return []
+    cam, rows, n = obj["camera_extrinsics"], obj["steps"], len(obj["steps"])
+    sites = [(cam["pos"], i) for (i,) in np.argwhere(_off_repr(record.camera_pos)).tolist()]
+    sites += [(cam["quat"], i) for (i,) in np.argwhere(_off_repr(record.camera_quat)).tolist()]
+    for name in ("ee_pos", "ee_quat"):  # `record_to_dict` zips the steps to `n` rows
+        off = np.argwhere(_off_repr(getattr(steps, name))[:n]).tolist()
+        sites += [(rows[i][name], j) for i, j in off]
+    sites += [(rows[i], "gripper") for (i,) in np.argwhere(_off_repr(steps.gripper)[:n]).tolist()]
+    if pos:
+        sites += [(pos, i) for (i,) in np.argwhere(_off_repr(pos)).tolist()]
+    return sites
+
+
+def _orjson_exact(record: DemoRecord, obj: dict) -> bool:
+    """Whether `orjson.dumps(obj)` gives the bytes of the stdlib's compact `json.dumps`."""
+    return _orjson_safe(obj) and not _off_repr_sites(record, obj)
+
+
+# a placeholder `"\0k"` as orjson writes it: no printable ASCII string gives these bytes
+_PIN = re.compile(rb'"\\u0000(\d+)"')
 
 
 def _encode(record: DemoRecord) -> bytes:
     obj = record_to_dict(record)
-    if _orjson_exact(record, obj):
-        return orjson.dumps(obj, option=orjson.OPT_APPEND_NEWLINE)
-    return json.dumps(obj, separators=(",", ":")).encode() + b"\n"
+    if not _orjson_safe(obj):
+        return json.dumps(obj, separators=(",", ":")).encode() + b"\n"
+    # each float orjson would write otherwise goes in as the placeholder
+    # string "\0k", which is then replaced by the stdlib's text of it
+    texts = []
+    for values, key in _off_repr_sites(record, obj):
+        texts.append(json.dumps(values[key]).encode())
+        values[key] = f"\0{len(texts) - 1}"
+    line = orjson.dumps(obj, option=orjson.OPT_APPEND_NEWLINE)
+    return _PIN.sub(lambda m: texts[int(m[1])], line) if texts else line
 
 
 def write_records(path, records) -> int:
     """Write records as line-delimited JSON; returns the record count.
 
     Each line holds the bytes of the stdlib's compact `json.dumps` of
-    `record_to_dict`.  A record whose strings and floats orjson writes as the
-    stdlib does (`_orjson_exact`: printable ASCII, floats 0 or of magnitude
-    in [1e-4, 1e16)) is encoded by orjson, about 4x faster; any other record
-    is encoded whole by the stdlib, which raises for a value it cannot write.
+    `record_to_dict`.  A record whose strings orjson writes as the stdlib
+    does (`_orjson_safe`: printable ASCII, a position of floats) is encoded
+    by orjson, about 4x faster, with the stdlib's text put in for each float
+    orjson writes otherwise (`_off_repr_sites`: neither 0 nor of magnitude
+    in [1e-4, 1e16)); any other record is encoded whole by the stdlib, which
+    raises for a value it cannot write.
     The lines written before such an error stay in the file, and nothing else.
 
     An existing file is rewritten in place and cut to the new length

@@ -936,10 +936,14 @@ _POSITION_VALUES = st.one_of(_ANY_FLOATS, st.integers(), st.builds(np.float64, _
 
 
 @st.composite
-def _drawn_records(draw):
-    """A record of repr-safe floats and printable text with at most one odd value, or of anything."""
-    wild = draw(st.booleans())
-    floats, text = (_ANY_FLOATS, _ANY_TEXT) if wild else (_REPR_FLOATS, _PRINTABLE_TEXT)
+def _drawn_records(draw, any_floats=False):
+    """A record of repr-safe floats and printable text with at most one odd value, or of anything.
+
+    With `any_floats`, the floats are drawn from every float, the text stays printable.
+    """
+    wild = not any_floats and draw(st.booleans())
+    floats = _ANY_FLOATS if wild or any_floats else _REPR_FLOATS
+    text = _ANY_TEXT if wild else _PRINTABLE_TEXT
     n = draw(st.integers(1, 4))
 
     def rows(*shape):
@@ -976,6 +980,14 @@ def test_write_records_matches_the_stdlib_on_drawn_records(tmp_path_factory, rec
     assert path.read_bytes() == _stdlib_lines(records)
 
 
+@given(st.lists(_drawn_records(any_floats=True), min_size=1, max_size=3))
+@settings(max_examples=300, deadline=None)
+def test_write_records_matches_the_stdlib_on_records_of_any_floats(tmp_path_factory, records):
+    path = tmp_path_factory.mktemp("write") / "out.jsonl"
+    assert metadata.write_records(path, records) == len(records)
+    assert path.read_bytes() == _stdlib_lines(records)
+
+
 _PLAIN = dict(
     id="r", lab="lab-1", instructions=("pick up the mug",),
     camera_pos=[0.64, 0.0, 0.64], camera_quat=[1.0, 0.0, 0.0, 0.0],
@@ -995,17 +1007,22 @@ def _plain_record(**changes) -> metadata.DemoRecord:
                                arrays["camera_quat"], steps, ann)
 
 
+def _one_odd_float():
+    """Records that differ from _plain_record in one float orjson writes otherwise than `repr`."""
+    for name in ("camera_pos", "camera_quat", "ee_pos", "ee_quat", "gripper", "object_position"):
+        for x in (1e-5, -9.9e-5, 1e16, -1e22, float("nan"), float("-inf")):
+            values = np.array(_PLAIN[name])
+            values.reshape(-1)[-1] = x
+            yield _plain_record(**{name: values.tolist()})
+
+
 def _one_odd_value():
     """Records that differ from _plain_record in one value orjson may write otherwise."""
     for name in ("id", "lab", "instructions", "target_object", "object_color", "camera_bin"):
         for char in ("\x7f", "\u00e9", "\u2028", "\ud800"):
             text = f"a{char}b"
             yield _plain_record(**{name: (text,) if name == "instructions" else text})
-    for name in ("camera_pos", "camera_quat", "ee_pos", "ee_quat", "gripper", "object_position"):
-        for x in (1e-5, -9.9e-5, 1e16, -1e22, float("nan"), float("-inf")):
-            values = np.array(_PLAIN[name])
-            values.reshape(-1)[-1] = x
-            yield _plain_record(**{name: values.tolist()})
+    yield from _one_odd_float()
     for x in (np.float64(0.25), "\u0663", 10**20, True):
         yield _plain_record(object_position=[0.2, x, 0.02])
 
@@ -1017,6 +1034,19 @@ def test_write_records_matches_the_stdlib_with_one_odd_value(tmp_path):
     path = tmp_path / "out.jsonl"
     metadata.write_records(path, records)
     assert path.read_bytes() == _stdlib_lines(records)
+
+
+def test_odd_floats_do_not_send_a_record_to_the_stdlib_encoder(tmp_path, monkeypatch):
+    # text that spells the placeholder orjson writes for "\0" stays as written
+    records = [*_one_odd_float(),
+               _plain_record(lab="\\u00000", instructions=('"\\u00001"',), gripper=[1e-5, 0.0, 1e16])]
+    want = _stdlib_lines(records)
+    dumped, dumps = [], json.dumps
+    monkeypatch.setattr(json, "dumps", lambda obj, **kw: dumped.append(type(obj)) or dumps(obj, **kw))
+    path = tmp_path / "out.jsonl"
+    metadata.write_records(path, records)
+    assert path.read_bytes() == want
+    assert set(dumped) == {float} and len(dumped) == len(records) + 1
 
 
 def _with_position(record, position):
