@@ -126,7 +126,9 @@ class SegmentationMismatch(DVCurateError):
 
 
 class DegenerateAnchor(DVCurateError):
-    """Anchor pose carries a non-unit quaternion."""
+    """Anchor pose carries a non-unit quaternion, or moves a synthesized
+    trajectory past the float range or to a junction the bridge step cannot
+    fill."""
 
 
 class ConfigError(DVCurateError):

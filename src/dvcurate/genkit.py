@@ -15,6 +15,7 @@ linear/spherical interpolation.
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 import struct
 from dataclasses import dataclass
@@ -370,8 +371,10 @@ def synthesize(segments, new_anchors, bridge_step: float,
         raise ValueError("at least one segment required")
     if bridge_step <= 0:
         raise ValueError(f"bridge_step must be > 0, got {bridge_step}")
+    if not all(len(seg.steps) for seg in segments):
+        raise ValueError("every segment needs at least one step")
 
-    mapped = []
+    transforms = []
     for seg, (npos, nquat) in zip(segments, new_anchors):
         nquat = np.asarray(nquat, dtype=float)
         if not is_unit_quat(nquat):
@@ -379,33 +382,38 @@ def synthesize(segments, new_anchors, bridge_step: float,
         if not is_unit_quat(seg.anchor_quat):
             raise DegenerateAnchor(f"segment anchor quaternion {seg.anchor_quat} is not unit norm")
         inv_pos, inv_quat = pose_inverse(seg.anchor_pos, seg.anchor_quat)
-        t_pos, t_quat = pose_compose(np.asarray(npos, dtype=float), nquat, inv_pos, inv_quat)
-        pos = quat_rotate(t_quat, seg.steps.ee_pos) + t_pos
-        quat = quat_mul(t_quat, seg.steps.ee_quat)
-        mapped.append((pos, quat, seg.steps.gripper.copy()))
+        transforms.append(pose_compose(npos, nquat, inv_pos, inv_quat))
+    # one rotation and one product map every step, each beside a row of its
+    # own segment's transform
+    lengths = [len(seg.steps) for seg in segments]
+    t_pos, t_quat = (np.repeat(np.array(rows), lengths, axis=0) for rows in zip(*transforms))
+    pos = quat_rotate(t_quat, np.concatenate([seg.steps.ee_pos for seg in segments])) + t_pos
+    if not np.isfinite(pos).all():
+        raise DegenerateAnchor("the new anchors move the trajectory past the float range")
+    quat = quat_mul(t_quat, np.concatenate([seg.steps.ee_quat for seg in segments]))
+    grip = np.concatenate([seg.steps.gripper for seg in segments])
 
-    out_pos = [mapped[0][0]]
-    out_quat = [mapped[0][1]]
-    out_grip = [mapped[0][2]]
-    for prev, cur in zip(mapped, mapped[1:]):
-        a_pos, a_quat, a_grip = prev[0][-1], prev[1][-1], prev[2][-1]
-        b_pos, b_quat = cur[0][0], cur[1][0]
-        dist = float(np.linalg.norm(b_pos - a_pos))
-        n_sub = max(int(math.ceil(dist / bridge_step)), 1)
-        if n_sub > 1:
+    out_pos, out_quat, out_grip = [], [], []
+    start = 0
+    for b in itertools.accumulate(lengths[:-1]):
+        a = b - 1
+        with np.errstate(over="ignore"):  # a distance past the float range is refused below
+            dist = float(np.linalg.norm(pos[b] - pos[a]))
+        try:
+            n_sub = max(int(math.ceil(dist / bridge_step)), 1)
             fracs = np.arange(1, n_sub) / n_sub
-            bridge_pos = a_pos + fracs[:, None] * (b_pos - a_pos)
-            bridge_quat = np.array([quat_slerp(a_quat, b_quat, float(f)) for f in fracs])
-            out_pos.append(bridge_pos)
-            out_quat.append(bridge_quat)
-            out_grip.append(np.full(n_sub - 1, a_grip))
-        out_pos.append(cur[0])
-        out_quat.append(cur[1])
-        out_grip.append(cur[2])
-
-    pos = np.concatenate(out_pos)
-    quat = np.concatenate(out_quat)
-    grip = np.concatenate(out_grip)
+        except (OverflowError, ValueError, MemoryError):  # no finite count, or too many to allocate
+            raise DegenerateAnchor(f"cannot bridge a junction of distance {dist} at bridge step "
+                                   f"{bridge_step}") from None
+        if n_sub > 1:
+            out_pos += [pos[start:b], pos[a] + fracs[:, None] * (pos[b] - pos[a])]
+            out_quat += [quat[start:b], quat_slerp(quat[a], quat[b], fracs)]
+            out_grip += [grip[start:b], np.full(n_sub - 1, grip[a])]
+            start = b
+    if start:
+        pos = np.concatenate(out_pos + [pos[start:]])
+        quat = np.concatenate(out_quat + [quat[start:]])
+        grip = np.concatenate(out_grip + [grip[start:]])
     steps = Steps(
         t=np.arange(len(pos), dtype=np.int64),
         ee_pos=pos,

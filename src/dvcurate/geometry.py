@@ -23,21 +23,56 @@ def is_unit_quat(q) -> bool:
     return abs(quat_norm(q) - 1.0) <= UNIT_NORM_TOL
 
 
+def _parts(x) -> tuple:
+    """One vector or quaternion as a tuple of Python floats, or an (..., k)
+    array as its k columns.
+
+    The pose formulas below take either kind of parts, so a single pose is
+    computed on floats and a batch on numpy columns, with the same float
+    operations in the same order; both give the bytes of the array code.
+    """
+    x = np.asarray(x, dtype=float)
+    if x.ndim == 1:
+        return tuple(x.tolist())
+    return tuple(x[..., i] for i in range(x.shape[-1]))
+
+
+def _joined(parts) -> np.ndarray:
+    """The array that `_parts` split: (k,) from floats, (..., k) from columns."""
+    if isinstance(parts[0], np.ndarray):
+        return np.stack(parts, axis=-1)
+    return np.array(parts)
+
+
+def _hamilton(a, b) -> tuple:
+    aw, ax, ay, az = a
+    bw, bx, by, bz = b
+    return (
+        aw * bw - ax * bx - ay * by - az * bz,
+        aw * bx + ax * bw + ay * bz - az * by,
+        aw * by - ax * bz + ay * bw + az * bx,
+        aw * bz + ax * by - ay * bx + az * bw,
+    )
+
+
+def _cross(a, b) -> tuple:
+    a1, a2, a3 = a
+    b1, b2, b3 = b
+    return (a2 * b3 - a3 * b2, a3 * b1 - a1 * b3, a1 * b2 - a2 * b1)
+
+
+def _rotated(q, v) -> tuple:
+    """v + 2 u × (u × v + w v) for q = (w, u)."""
+    w, x, y, z = q
+    u = (x, y, z)
+    c = _cross(u, v)
+    d = _cross(u, (c[0] + w * v[0], c[1] + w * v[1], c[2] + w * v[2]))
+    return (v[0] + 2.0 * d[0], v[1] + 2.0 * d[1], v[2] + 2.0 * d[2])
+
+
 def quat_mul(a, b) -> np.ndarray:
     """Hamilton product a ⊗ b, broadcast over leading axes."""
-    a = np.asarray(a, dtype=float)
-    b = np.asarray(b, dtype=float)
-    aw, ax, ay, az = a[..., 0], a[..., 1], a[..., 2], a[..., 3]
-    bw, bx, by, bz = b[..., 0], b[..., 1], b[..., 2], b[..., 3]
-    return np.stack(
-        [
-            aw * bw - ax * bx - ay * by - az * bz,
-            aw * bx + ax * bw + ay * bz - az * by,
-            aw * by - ax * bz + ay * bw + az * bx,
-            aw * bz + ax * by - ay * bx + az * bw,
-        ],
-        axis=-1,
-    )
+    return _joined(_hamilton(_parts(a), _parts(b)))
 
 
 def quat_conj(q) -> np.ndarray:
@@ -45,35 +80,39 @@ def quat_conj(q) -> np.ndarray:
     return np.array([w, -x, -y, -z])
 
 
-def cross(a, b) -> np.ndarray:
-    """Cross product over the last axis of two (..., 3) arrays, broadcast."""
-    a1, a2, a3 = a[..., 0], a[..., 1], a[..., 2]
-    b1, b2, b3 = b[..., 0], b[..., 1], b[..., 2]
-    return np.stack([a2 * b3 - a3 * b2, a3 * b1 - a1 * b3, a1 * b2 - a2 * b1], axis=-1)
-
-
 def quat_rotate(q, v) -> np.ndarray:
-    """Rotate vector v, or each row of an (N, 3) array, by unit quaternion q."""
-    w, x, y, z = q
-    u = np.array([x, y, z], dtype=float)
-    v = np.asarray(v, dtype=float)
-    return v + 2.0 * cross(u, cross(u, v) + w * v)
+    """Rotate vector v, or each row of an (N, 3) array, by unit quaternion q,
+    or each row by its own row of an (N, 4) q."""
+    return _joined(_rotated(_parts(q), _parts(v)))
 
 
-def quat_slerp(a, b, t: float) -> np.ndarray:
-    """Spherical interpolation from a to b along the shorter arc."""
+def quat_slerp(a, b, t) -> np.ndarray:
+    """Spherical interpolation from a to b along the shorter arc.
+
+    `t` is one fraction, giving a (4,) quaternion, or a 1-D array of
+    fractions, giving one row per fraction.
+    """
     a = np.asarray(a, dtype=float)
     b = np.asarray(b, dtype=float)
     dot = float(np.dot(a, b))
     if dot < 0.0:
         b = -b
         dot = -dot
+    fracs = np.asarray(t, dtype=float)
     if dot > 1.0 - 1e-12:
-        out = a + t * (b - a)
-        return out / np.linalg.norm(out)
-    omega = math.acos(min(dot, 1.0))
-    so = math.sin(omega)
-    return (math.sin((1.0 - t) * omega) * a + math.sin(t * omega) * b) / so
+        # one norm per row: np.linalg.norm sums the squares otherwise than a float loop would
+        rows = [out / np.linalg.norm(out) for out in a + fracs.reshape(-1, 1) * (b - a)]
+    else:
+        omega = math.acos(min(dot, 1.0))
+        so = math.sin(omega)
+        pairs = list(zip(a.tolist(), b.tolist()))
+        rows = []
+        for f in fracs.reshape(-1).tolist():
+            sa = math.sin((1.0 - f) * omega)
+            sb = math.sin(f * omega)
+            rows.append([(sa * x + sb * y) / so for x, y in pairs])
+    out = np.array(rows)
+    return out if fracs.ndim else out[0]
 
 
 def pose_compose(pa, qa, pb, qb) -> tuple[np.ndarray, np.ndarray]:
@@ -109,55 +148,58 @@ def cartesian_from_spherical(r: float, theta_deg: float, phi_deg: float, center=
 
 
 def look_at_quat(eye, target, up=(0.0, 0.0, 1.0)) -> np.ndarray:
-    """Quaternion orienting a camera at `eye` so its +z axis points at `target`."""
-    eye = np.asarray(eye, dtype=float)
-    fwd = np.asarray(target, dtype=float) - eye
+    """Quaternion orienting a camera at `eye` so its +z axis points at `target`.
+
+    Computed on floats; the norms stay numpy's, and dividing by them (numpy
+    scalars) keeps numpy's result for a zero or non-finite norm.
+    """
+    fwd = tuple(t - e for t, e in zip(_parts(target), _parts(eye)))
     n = np.linalg.norm(fwd)
     if n == 0.0:
         raise ValueError("eye coincides with target")
-    fwd = fwd / n
-    up = np.asarray(up, dtype=float)
-    right = cross(up, fwd)
+    fwd = tuple(f / n for f in fwd)
+    right = _cross(_parts(up), fwd)
     rn = np.linalg.norm(right)
     if rn < 1e-12:
         # forward parallel to up: pick an arbitrary consistent right axis
-        right = cross(np.array([1.0, 0.0, 0.0]), fwd)
+        right = _cross((1.0, 0.0, 0.0), fwd)
         rn = np.linalg.norm(right)
         if rn < 1e-12:
-            right = cross(np.array([0.0, 1.0, 0.0]), fwd)
+            right = _cross((0.0, 1.0, 0.0), fwd)
             rn = np.linalg.norm(right)
-    right = right / rn
-    cam_up = cross(fwd, right)
-    m = np.column_stack([right, cam_up, fwd])
-    return rotmat_to_quat(m)
+    right = tuple(r / rn for r in right)
+    cam_up = _cross(fwd, right)
+    return rotmat_to_quat(tuple(zip(right, cam_up, fwd)))
 
 
-def rotmat_to_quat(m: np.ndarray) -> np.ndarray:
-    """Convert a proper rotation matrix to a (w, x, y, z) quaternion."""
-    tr = m[0, 0] + m[1, 1] + m[2, 2]
+def rotmat_to_quat(m) -> np.ndarray:
+    """Convert a proper rotation matrix, an array or a sequence of rows, to a
+    (w, x, y, z) quaternion."""
+    (m00, m01, m02), (m10, m11, m12), (m20, m21, m22) = m
+    tr = m00 + m11 + m22
     if tr > 0.0:
         s = math.sqrt(tr + 1.0) * 2.0
         w = 0.25 * s
-        x = (m[2, 1] - m[1, 2]) / s
-        y = (m[0, 2] - m[2, 0]) / s
-        z = (m[1, 0] - m[0, 1]) / s
-    elif m[0, 0] > m[1, 1] and m[0, 0] > m[2, 2]:
-        s = math.sqrt(1.0 + m[0, 0] - m[1, 1] - m[2, 2]) * 2.0
-        w = (m[2, 1] - m[1, 2]) / s
+        x = (m21 - m12) / s
+        y = (m02 - m20) / s
+        z = (m10 - m01) / s
+    elif m00 > m11 and m00 > m22:
+        s = math.sqrt(1.0 + m00 - m11 - m22) * 2.0
+        w = (m21 - m12) / s
         x = 0.25 * s
-        y = (m[0, 1] + m[1, 0]) / s
-        z = (m[0, 2] + m[2, 0]) / s
-    elif m[1, 1] > m[2, 2]:
-        s = math.sqrt(1.0 + m[1, 1] - m[0, 0] - m[2, 2]) * 2.0
-        w = (m[0, 2] - m[2, 0]) / s
-        x = (m[0, 1] + m[1, 0]) / s
+        y = (m01 + m10) / s
+        z = (m02 + m20) / s
+    elif m11 > m22:
+        s = math.sqrt(1.0 + m11 - m00 - m22) * 2.0
+        w = (m02 - m20) / s
+        x = (m01 + m10) / s
         y = 0.25 * s
-        z = (m[1, 2] + m[2, 1]) / s
+        z = (m12 + m21) / s
     else:
-        s = math.sqrt(1.0 + m[2, 2] - m[0, 0] - m[1, 1]) * 2.0
-        w = (m[1, 0] - m[0, 1]) / s
-        x = (m[0, 2] + m[2, 0]) / s
-        y = (m[1, 2] + m[2, 1]) / s
+        s = math.sqrt(1.0 + m22 - m00 - m11) * 2.0
+        w = (m10 - m01) / s
+        x = (m02 + m20) / s
+        y = (m12 + m21) / s
         z = 0.25 * s
     q = np.array([w, x, y, z])
     return q / np.linalg.norm(q)

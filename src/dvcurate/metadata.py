@@ -785,6 +785,10 @@ class HttpColorAnnotator:
     threading.TIMEOUT_MAX seconds), DVC_ANNOTATOR_RETRIES (default 3).
     `session` stands in for a `requests.Session`.  `requests` is imported
     here and in `color_of`, so no other command pays for its import.
+
+    Once every try for one record has timed out or failed to connect, the
+    service is taken as gone and no later record asks it again; an error
+    status or a reply without a color is retried for each record.
     """
 
     def __init__(self, session=None):
@@ -802,10 +806,14 @@ class HttpColorAnnotator:
         import requests
 
         self.session = session or requests.Session()
+        self._gone = False
 
     def color_of(self, record: DemoRecord) -> str:
         import requests
 
+        if self._gone:
+            raise AnnotatorUnavailable("annotator stopped answering: every try for an earlier "
+                                       "record timed out or failed to connect")
         payload = {
             "id": record.id,
             "image_ref": record.id,
@@ -813,6 +821,7 @@ class HttpColorAnnotator:
                        if record.annotations and record.annotations.target_object else ""),
         }
         last = None
+        silent = True  # every try so far timed out or found no connection
         for _ in range(self.retries):
             try:
                 resp = self.session.post(self.url, json=payload, timeout=self.timeout)
@@ -824,6 +833,8 @@ class HttpColorAnnotator:
                 return color
             except (requests.RequestException, ValueError, AnnotatorUnavailable) as exc:
                 last = exc
+                silent = silent and isinstance(exc, (requests.Timeout, requests.ConnectionError))
+        self._gone = silent
         raise AnnotatorUnavailable(f"annotator failed after {self.retries} tries: {last}")
 
 

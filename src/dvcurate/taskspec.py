@@ -110,6 +110,28 @@ class CameraPoseRange:
         )
 
 
+class _FloatOps:
+    """`np.clip`, `np.minimum` and `np.where` for Python floats.
+
+    Where two operands compare equal, as 0.0 and -0.0 do, each returns the
+    one numpy returns, so a zero keeps numpy's sign; a NaN in `x` or `a`
+    comes back as numpy's does.
+    """
+
+    @staticmethod
+    def clip(x, lo, hi):
+        x = lo if x < lo else x
+        return hi if x > hi else x
+
+    @staticmethod
+    def minimum(a, b):
+        return b if b <= a else a
+
+    @staticmethod
+    def where(cond, a, b):
+        return a if cond else b
+
+
 @dataclass(frozen=True)
 class TextureSpec:
     """HSV texture range.
@@ -165,20 +187,23 @@ class TextureSpec:
 
         The wrapping window [h_min, 1) | [0, h_max] is handled piecewise so
         no value ever crosses 1.0 arithmetically; endpoints are clamped so
-        rounding can never push a result outside the window.
+        rounding can never push a result outside the window.  A float `u` is
+        mapped on floats (`_FloatOps`), with the float operations of an array.
         """
-        u = np.asarray(u, dtype=float)
+        xp = _FloatOps if isinstance(u, float) else np
+        if xp is np:
+            u = np.asarray(u, dtype=float)
         if self.mode == "jitter" or self.h_min <= self.h_max:
-            h = np.clip(self.h_min + u * (self.h_max - self.h_min),
+            h = xp.clip(self.h_min + u * (self.h_max - self.h_min),
                         self.h_min, self.h_max)
         else:
             upper_width = 1.0 - self.h_min
             span = u * (upper_width + self.h_max)
-            high = self.h_min + np.minimum(span, upper_width)
-            low = np.clip(span - upper_width, 0.0, self.h_max)
-            h = np.where(span < upper_width, high, low)
-            h = np.where(h >= 1.0, 0.0, h)
-        return float(h) if h.ndim == 0 else h
+            high = self.h_min + xp.minimum(span, upper_width)
+            low = xp.clip(span - upper_width, 0.0, self.h_max)
+            h = xp.where(span < upper_width, high, low)
+            h = xp.where(h >= 1.0, 0.0, h)
+        return h if xp is np and h.ndim else float(h)
 
     def contains(self, h: float, s: float, v: float) -> bool:
         return (

@@ -289,8 +289,8 @@ def quat_chordal(a, b) -> float:
 
 # ---------------------------------------------------------------------------
 # generation oracles: the code the separable noise, `.tolist()` serialization,
-# explicit cross product, broadcast Hamilton product and one-draw sampler
-# replaced, kept as they were apart from the names
+# explicit cross product, broadcast Hamilton product, float-path slerp and hue
+# mapping and one-draw sampler replaced, kept as they were apart from the names
 
 def _fade(t):
     return t * t * (3.0 - 2.0 * t)
@@ -366,8 +366,9 @@ def cross_quat_rotate(q, v):
 
 
 def cross_quat_rotate_many(q, vs):
-    w, x, y, z = q
-    u = np.array([x, y, z], dtype=float)
+    """Rotate each row of vs by q, or by its own row of an (N, 4) q."""
+    q = np.asarray(q, dtype=float)
+    w, u = q[..., :1], q[..., 1:]
     vs = np.asarray(vs, dtype=float)
     c = np.cross(np.broadcast_to(u, vs.shape), vs) + w * vs
     return vs + 2.0 * np.cross(np.broadcast_to(u, vs.shape), c)
@@ -395,8 +396,9 @@ def cross_look_at_quat(eye, target, up=(0.0, 0.0, 1.0)):
 
 
 def quat_mul_many(q, quats):
-    """Hamilton product q ⊗ quats[i] for an (N, 4) array."""
-    w, x, y, z = q
+    """Hamilton product q ⊗ quats[i] for an (N, 4) array, or q[i] ⊗ quats[i]
+    for an (N, 4) q."""
+    w, x, y, z = np.moveaxis(np.asarray(q, dtype=float), -1, 0)
     qw, qx, qy, qz = quats[:, 0], quats[:, 1], quats[:, 2], quats[:, 3]
     return np.stack(
         [
@@ -407,6 +409,37 @@ def quat_mul_many(q, quats):
         ],
         axis=1,
     )
+
+
+def array_quat_slerp(a, b, t: float):
+    """Slerp at one fraction on numpy arrays."""
+    a = np.asarray(a, dtype=float)
+    b = np.asarray(b, dtype=float)
+    dot = float(np.dot(a, b))
+    if dot < 0.0:
+        b = -b
+        dot = -dot
+    if dot > 1.0 - 1e-12:
+        out = a + t * (b - a)
+        return out / np.linalg.norm(out)
+    omega = math.acos(min(dot, 1.0))
+    so = math.sin(omega)
+    return (math.sin((1.0 - t) * omega) * a + math.sin(t * omega) * b) / so
+
+
+def array_hue_from_unit(tex, u):
+    """`TextureSpec.hue_from_unit` on numpy arrays, for a scalar or an array `u`."""
+    u = np.asarray(u, dtype=float)
+    if tex.mode == "jitter" or tex.h_min <= tex.h_max:
+        h = np.clip(tex.h_min + u * (tex.h_max - tex.h_min), tex.h_min, tex.h_max)
+    else:
+        upper_width = 1.0 - tex.h_min
+        span = u * (upper_width + tex.h_max)
+        high = tex.h_min + np.minimum(span, upper_width)
+        low = np.clip(span - upper_width, 0.0, tex.h_max)
+        h = np.where(span < upper_width, high, low)
+        h = np.where(h >= 1.0, 0.0, h)
+    return float(h) if h.ndim == 0 else h
 
 
 def _slot_draws(stream, index):

@@ -23,6 +23,7 @@ from conftest import DATA_DIR, demo_row, element_record_to_dict, write_jsonl
 BIN_CARROT = str(DATA_DIR / "specs" / "valid" / "bin-carrot.mlspec")
 WRAPPED_HUE = str(DATA_DIR / "specs" / "valid" / "wrapped-hue.mlspec")
 MAKE_COFFEE = str(DATA_DIR / "specs" / "valid" / "make-coffee.mlspec")
+JITTER_NEGATIVE = str(DATA_DIR / "specs" / "valid" / "jitter-negative.mlspec")
 MALFORMED = str(DATA_DIR / "specs" / "malformed" / "m01-unbalanced.mlspec")
 
 
@@ -126,6 +127,21 @@ def test_spec_sample_to_file(capsys, tmp_path):
                            "--seed", "1", "--count", "2", "--out", str(dest))
     assert code == 0 and out == ""
     assert len(dest.read_text().strip().splitlines()) == 2
+
+
+@pytest.mark.parametrize(
+    "spec,seed,digest",
+    [
+        (WRAPPED_HUE, 4, "aa4cdc17029b7cbbc8a92081c1965973b46c6e86efe073758fa759566825e407"),
+        (JITTER_NEGATIVE, 9, "d0f20ac2baad3481438a04016113508f41d3b9a037f43abd5677bc48d8582261"),
+    ],
+)
+def test_spec_sample_output_matches_golden_digests(capsys, spec, seed, digest):
+    # pinned from the numpy hue mapping that preceded the float one; the first
+    # spec's hue windows wrap, the second's table texture is a jitter
+    code, out, _ = run_cli(capsys, "spec", "sample", spec, "--seed", str(seed), "--count", "3")
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
 # ---------------------------------------------------------------------------
@@ -439,6 +455,21 @@ def test_gen_synth_writes_the_stdlib_bytes(capsys, tmp_path, odd_corpus, rid):
     assert out_path.read_bytes() == _stdlib_bytes([want])
 
 
+def test_gen_synth_bytes_match_golden_digest(capsys, tmp_path, corpus):
+    # pinned from the numpy pose math that preceded the float one
+    anchors = tmp_path / "anchors.json"
+    anchors.write_text(json.dumps([
+        {"pos": [0.25, -0.1, 0.02], "quat": [0.9238795325112867, 0.0, 0.0, 0.3826834323650898]},
+        {"pos": [-0.2, 0.3, 0.05], "quat": [0.8660254037844387, 0.5, 0.0, 0.0]},
+    ]))
+    out_path = tmp_path / "synth.jsonl"
+    code, out, _ = run_cli(capsys, "gen", "synth", "--demos", corpus, "--id", "d1", "--goal", "pick,place",
+                           "--anchors", str(anchors), "--out", str(out_path))
+    assert code == 0
+    assert "(129 steps from 2 segments)" in out  # 120 source steps, 9 bridging the junction
+    assert hashlib.sha256(out_path.read_bytes()).hexdigest() == "61a88157fbe00751c148a39dac65182aec907fbccc91dacdec5cd82b92411640"
+
+
 def test_annotate_unknown_color_label_is_loud(capsys, tmp_path, corpus):
     colors = tmp_path / "colors.json"
     colors.write_text(json.dumps({"d0": "grass green", "d1": "navy", "d2": "olive"}))
@@ -533,6 +564,9 @@ def _side_file(tmp_path, data):
         ("synth-string-anchor-pos", "InputError"),
         ("synth-boolean-anchor-quat", "InputError"),
         ("synth-overflowing-anchor-pos", "InputError"),
+        # the junction's length, or its count of bridge steps, is past what floats or numpy hold
+        ("synth-anchors-too-far-apart", "DegenerateAnchor"),
+        ("synth-bridge-step-too-fine", "DegenerateAnchor"),
         ("profile-number-camera-bin", "SchemaError"),
         ("ingest-list-target-object", "SchemaError"),
         ("ingest-deeply-nested", "SchemaError"),
@@ -616,6 +650,9 @@ def test_bad_inputs_exit_1_with_a_report(capsys, tmp_path, monkeypatch, corpus, 
         "synth-string-anchor-pos": lambda: synth(anchors(pos=("0.1", "0", "0"))),
         "synth-boolean-anchor-quat": lambda: synth(anchors(quat=(True, 0, 0, 0))),
         "synth-overflowing-anchor-pos": lambda: synth(anchors(pos=(10**400, 0, 0))),
+        "synth-anchors-too-far-apart": lambda: synth(_side_file(tmp_path, json.dumps(
+            [{"pos": [1e308, 0, 0], "quat": [1, 0, 0, 0]}, {"pos": [1.7e308, 0, 0], "quat": [1, 0, 0, 0]}]))),
+        "synth-bridge-step-too-fine": lambda: synth(anchors()) + ["--bridge-step", "1e-300"],
         "profile-number-camera-bin": lambda: ["profile", write_jsonl(tmp_path / "c.jsonl", [
             demo_row(annotations={"camera_bin": 7, "target_object": [1, 2]})])],
         "ingest-list-target-object": lambda: ["ingest", write_jsonl(tmp_path / "c.jsonl", [

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import math
 import subprocess
 import sys
 from unittest import mock
@@ -322,6 +323,26 @@ def test_synthesize_validation():
     bad_seg.anchor_quat = np.array([2.0, 0.0, 0.0, 0.0])
     with pytest.raises(DegenerateAnchor):
         genkit.synthesize([bad_seg], [anchor], bridge_step=0.1)
+    empty = _point_segment((0.0, 0.0, 0.0))
+    empty.steps = Steps(t=np.zeros(0, dtype=np.int64), ee_pos=np.zeros((0, 3)), ee_quat=np.zeros((0, 4)),
+                        gripper=np.zeros(0))
+    with pytest.raises(ValueError, match="at least one step"):
+        genkit.synthesize([seg, empty, seg], [anchor] * 3, bridge_step=0.1)
+
+
+@pytest.mark.parametrize(
+    "far,step,match",
+    [
+        ((math.inf, 0.0, 0.0), 0.1, "past the float range"),
+        ((1.7e308, 0.0, 0.0), 0.1, "distance inf at bridge step 0.1"),  # its square overflows
+        ((1.0, 0.0, 0.0), 1e-300, "distance 1.0 at bridge step 1e-300"),  # more steps than numpy holds
+    ],
+)
+def test_synthesize_refuses_anchors_it_cannot_stitch(far, step, match):
+    segments = [_point_segment((0.0, 0.0, 0.0)), _point_segment((0.0, 0.0, 0.0))]
+    anchors = [((0.0, 0.0, 0.0), (1.0, 0.0, 0.0, 0.0)), (far, (1.0, 0.0, 0.0, 0.0))]
+    with pytest.raises(DegenerateAnchor, match=match):
+        genkit.synthesize(segments, anchors, bridge_step=step)
 
 
 def test_synthesize_record_metadata():

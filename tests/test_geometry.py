@@ -2,12 +2,19 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from dvcurate import geometry as geo
 
-from conftest import cross_look_at_quat, cross_quat_rotate, cross_quat_rotate_many, quat_chordal, quat_mul_many
+from conftest import (
+    array_quat_slerp,
+    cross_look_at_quat,
+    cross_quat_rotate,
+    cross_quat_rotate_many,
+    quat_chordal,
+    quat_mul_many,
+)
 
 IDENTITY = np.array([1.0, 0.0, 0.0, 0.0])
 
@@ -206,3 +213,78 @@ def test_quat_mul_broadcast_matches_per_row_bytes():
         assert geo.quat_mul(q, quats[0]).tobytes() == quat_mul_many(q, quats[:1])[0].tobytes()
         assert geo.quat_mul(tuple(q), list(quats[0])).tobytes() == \
             quat_mul_many(q, quats[:1])[0].tobytes()
+
+
+# ---------------------------------------------------------------------------
+# one pose on Python floats, a batch on numpy columns: the same bytes as each
+# other and as the np.cross / per-row oracles, signed zeros and subnormals too
+
+_ODD = (0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, -1e-310, 1.0, -1.0)
+
+
+def _components(n):
+    return st.lists(st.one_of(st.sampled_from(_ODD), st.floats(-3.0, 3.0)), min_size=n, max_size=n)
+
+
+def _rows(k, n=None):
+    return st.lists(_components(k), min_size=n or 1, max_size=n or 6).map(np.array)
+
+
+def _same(a, b) -> bool:
+    return np.asarray(a).tobytes() == np.asarray(b).tobytes()
+
+
+@given(_components(4), _rows(4), st.data())
+@settings(max_examples=300)
+def test_quat_mul_float_path_matches_array_path_and_oracle_bytes(q, quats, data):
+    rows = geo.quat_mul(q, quats)
+    assert _same(rows, quat_mul_many(q, quats))
+    for i, row in enumerate(quats):
+        assert _same(geo.quat_mul(q, row), rows[i])
+    qs = data.draw(_rows(4, len(quats)))
+    assert _same(geo.quat_mul(qs, quats), quat_mul_many(qs, quats))
+
+
+@given(_components(4), _rows(3), st.data())
+@settings(max_examples=300)
+def test_quat_rotate_float_path_matches_array_path_and_oracle_bytes(q, vs, data):
+    rows = geo.quat_rotate(q, vs)
+    assert _same(rows, cross_quat_rotate_many(q, vs))
+    for i, v in enumerate(vs):
+        assert _same(geo.quat_rotate(q, v), rows[i])
+        assert _same(geo.quat_rotate(q, v), cross_quat_rotate(q, v))
+    qs = data.draw(_rows(4, len(vs)))
+    assert _same(geo.quat_rotate(qs, vs), cross_quat_rotate_many(qs, vs))
+
+
+def _outcome(f, *args):
+    try:
+        return f(*args).tobytes()
+    except ValueError as exc:  # eye at target, or a degenerate frame
+        return type(exc)
+
+
+@given(_components(3), _components(3), _components(3))
+@settings(max_examples=300)
+def test_look_at_quat_float_path_matches_oracle_bytes(eye, target, up):
+    with np.errstate(all="ignore"):  # a subnormal or zero norm divides as numpy does, on both sides
+        assert _outcome(geo.look_at_quat, eye, target, up) == \
+            _outcome(cross_look_at_quat, eye, target, up)
+
+
+@given(st.one_of(_components(4), st.just([1.0, 0.0, 0.0, 0.0])),
+       st.one_of(_components(4), st.sampled_from([[1.0, 1e-9, 0.0, 0.0], [-1.0, 0.0, -0.0, 1e-13]])),
+       st.lists(st.one_of(st.sampled_from([0.0, -0.0, 1.0, 5e-324]), st.floats(0.0, 1.0)),
+                min_size=1, max_size=6))
+@example([1.0, 0.0, 0.0, 0.0], [1.0, 1e-9, 0.0, 0.0], [0.25, 0.5])
+@example([1.0, 0.0, 0.0, 0.0], [-1.0, 0.0, -0.0, 1e-13], [0.25, -0.0])
+@settings(max_examples=300)
+def test_slerp_rows_match_single_fractions_and_oracle_bytes(a, b, fracs):
+    # the second quaternions near the identity reach the near-parallel branch
+    # (dot > 1 - 1e-12), as do drawn pairs whose dot product passes 1
+    with np.errstate(all="ignore"):  # a zero-norm interpolant divides as numpy does, on both sides
+        rows = geo.quat_slerp(a, b, np.array(fracs))
+        assert rows.shape == (len(fracs), 4)
+        for i, f in enumerate(fracs):
+            assert _same(geo.quat_slerp(a, b, f), rows[i])
+            assert _same(rows[i], array_quat_slerp(a, b, f))

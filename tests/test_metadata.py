@@ -799,6 +799,52 @@ def test_http_annotator_exhausts_retries(annotator_server, monkeypatch):
         annotator.color_of(make_record(rid="r"))
 
 
+def test_http_annotator_stops_asking_a_service_that_never_answers(monkeypatch):
+    # the service accepts each connection and never replies: once one record's
+    # three tries time out, the other four records are not sent
+    listener = socket.create_server(("127.0.0.1", 0))
+    listener.settimeout(0.05)
+    accepted = []
+    done = threading.Event()
+
+    def accept():
+        while not done.is_set():
+            try:
+                accepted.append(listener.accept()[0])
+            except TimeoutError:
+                pass
+
+    thread = threading.Thread(target=accept, daemon=True)
+    thread.start()
+    monkeypatch.setenv(metadata.ANNOTATOR_URL_ENV, f"http://127.0.0.1:{listener.getsockname()[1]}/annotate")
+    monkeypatch.setenv(metadata.ANNOTATOR_TIMEOUT_ENV, "100")
+    monkeypatch.delenv(metadata.ANNOTATOR_RETRIES_ENV, raising=False)
+    try:
+        annotator = metadata.HttpColorAnnotator()
+        colors = [metadata.annotate_record(make_record(rid=f"r{i}"), annotator).annotations.object_color
+                  for i in range(5)]
+    finally:
+        done.set()
+        thread.join(timeout=5)
+        for conn in accepted:
+            conn.close()
+        listener.close()
+    assert not thread.is_alive()
+    assert colors == [None] * 5
+    assert len(accepted) == 3
+    with pytest.raises(AnnotatorUnavailable, match="stopped answering"):
+        annotator.color_of(make_record(rid="r5"))
+
+
+def test_http_annotator_keeps_asking_a_service_that_answers_with_errors(annotator_server, monkeypatch):
+    _AnnotatorHandler.fail_first = 99
+    monkeypatch.setenv(metadata.ANNOTATOR_RETRIES_ENV, "2")
+    annotator = metadata.HttpColorAnnotator()
+    for i in range(3):
+        assert metadata.annotate_record(make_record(rid=f"r{i}"), annotator).annotations.object_color is None
+    assert len(_AnnotatorHandler.seen) == 6
+
+
 def test_http_annotator_requires_url(monkeypatch):
     monkeypatch.delenv(metadata.ANNOTATOR_URL_ENV, raising=False)
     with pytest.raises(AnnotatorUnavailable):

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 from dvcurate import taskspec
 from dvcurate.errors import DegenerateRegion, SpecRangeError, SpecSyntaxError
 
-from conftest import DATA_DIR
+from conftest import DATA_DIR, array_hue_from_unit
 
 VALID_DIR = DATA_DIR / "specs" / "valid"
 MALFORMED_DIR = DATA_DIR / "specs" / "malformed"
@@ -138,6 +138,35 @@ def test_hue_from_unit_stays_in_window(u, window):
     h0, h1 = window
     tex = taskspec.TextureSpec("fractal", h0, h1, 0.0, 1.0, 0.0, 1.0)
     assert tex.hue_contains(tex.hue_from_unit(u))
+
+
+_UNIT_HUES = st.one_of(st.sampled_from([0.0, -0.0, 5e-324, 0.5, 0.9999999999999999]),
+                       st.floats(0.0, 1.0, exclude_max=True))
+_OFFSETS = st.one_of(st.sampled_from([0.0, -0.0, -5e-324, 1e-310]), st.floats(-1.0, 1.0))
+
+
+@st.composite
+def _hue_windows(draw):
+    """Fractal windows, wrapped (h_min > h_max) or not, and jitter offsets."""
+    if draw(st.booleans()):
+        return taskspec.TextureSpec("fractal", draw(_UNIT_HUES), draw(_UNIT_HUES), 0.0, 1.0, 0.0, 1.0)
+    h0, h1 = sorted([draw(_OFFSETS), draw(_OFFSETS)])
+    return taskspec.TextureSpec("jitter", h0, h1, -0.1, 0.1, -0.1, 0.1, base_name="red")
+
+
+@given(_hue_windows(), st.lists(st.one_of(st.sampled_from([0.0, -0.0, 5e-324, 1.0]), st.floats(0.0, 1.0)),
+                                min_size=1, max_size=8))
+@settings(max_examples=400)
+def test_hue_from_unit_float_path_matches_array_path_and_oracle_bytes(tex, us):
+    arr = tex.hue_from_unit(np.array(us))
+    assert isinstance(arr, np.ndarray)
+    assert arr.tobytes() == array_hue_from_unit(tex, np.array(us)).tobytes()
+    for u, h in zip(us, arr):
+        for scalar in (u, np.float64(u), np.array(u)):
+            got = tex.hue_from_unit(scalar)
+            assert type(got) is float
+            assert np.float64(got).tobytes() == h.tobytes()
+        assert np.float64(array_hue_from_unit(tex, u)).tobytes() == h.tobytes()
 
 
 def test_hue_from_unit_array_matches_scalar():
