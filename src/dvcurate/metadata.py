@@ -8,13 +8,22 @@ Records live in line-delimited JSON, one demonstration per line:
                 "gripper": float}, ...],
      "annotations": {...} | null}
 
-`iter_records` reads a corpus in chunks of about CHUNK_BYTES of lines.  Each
-line of a chunk is decoded with `orjson`; the decoded records of the chunk
-are then validated together: their steps are concatenated into flat `t`,
+`iter_records` reads a corpus in chunks of about CHUNK_BYTES of lines, and
+validates the records of a chunk together: their steps are flat `t`,
 `ee_pos`, `ee_quat` and `gripper` arrays, each rule is one array operation
 over the chunk (with the steps where one record ends and the next begins
 left out of the time-order check), and the records are built from row
-slices of those arrays, so records of one chunk share memory.  The stdlib
+slices of those arrays, so records of one chunk share memory.  A chunk is
+first read as columns (`_column_chunk`).  When every line holds its steps
+array in the compact layout that `write_records` writes, each array is cut
+out of its line and checked against that layout with `bytes.translate`
+and a numpy check that no number's place is empty; the numbers of all the
+chunk's arrays are decoded by one `orjson.loads` of a flat array, and only
+the rest of each line is decoded into a dict, so no dict or list is made
+per step.  Any other chunk (a line with whitespace in its steps, other step
+keys or key order, escapes outside its steps, or anything the column reader
+does not clear) has each line decoded whole with `orjson`, and
+`_parse_chunk` takes its step dicts apart.  The stdlib
 `json` and `parse_record` are the only definition of the rules and the only
 code that raises for a bad line: when `orjson` refuses a line of a chunk, a
 line nests deeper than _MAX_FAST_DEPTH, or the batch check does not clear
@@ -86,11 +95,11 @@ GRIPPER_WINDOW = 15
 GRIPPER_THRESHOLD = 0.5
 CAMERA_BIN_POLAR_WIDTH = 15.0
 CAMERA_BIN_AZIMUTH_WIDTH = 30.0
-# Bytes of lines validated together.  Small on purpose: a chunk's decoded
-# dicts stay alive until its records are built, and while one chunk's live
-# containers stay under CPython's generation-0 threshold (700) the cyclic GC
-# seldom runs; larger chunks make it run, and walk them, far more often.
-CHUNK_BYTES = 1 << 14
+# Bytes of lines validated together.  A chunk costs some 30 numpy calls
+# whatever its size, so it should hold many short records, but the objects
+# decoded from it live until its records are built.  Of 16, 32 and 64 KiB,
+# 32 KiB read the bench's 2-step and 150-step corpora fastest (see CHANGES.md).
+CHUNK_BYTES = 1 << 15
 
 ANNOTATOR_URL_ENV = "DVC_ANNOTATOR_URL"
 ANNOTATOR_TIMEOUT_ENV = "DVC_ANNOTATOR_TIMEOUT_MS"
@@ -264,6 +273,72 @@ def _unit_rows(quats: np.ndarray) -> bool:
     return bool((err <= UNIT_NORM_TOL - _NORM_MARGIN).all())
 
 
+def _heads(objs) -> list[tuple] | None:
+    """The (id, lab, instructions, annotations, camera pos, camera quat, steps) of decoded records.
+
+    None unless every field but the camera values and the steps has the type
+    `parse_record` requires; raises KeyError (a missing key), TypeError,
+    ValueError or OverflowError for some bad values.  The camera values and
+    the steps are as decoded.
+    """
+    heads = []
+    for obj in objs:
+        rid = obj["id"]
+        lab = obj["lab"]
+        instructions = obj["instructions"]
+        cam = obj["camera_extrinsics"]
+        steps = obj["steps"]
+        ann = obj.get("annotations")
+        if not (isinstance(rid, str) and rid and isinstance(lab, str)
+                and isinstance(instructions, list)
+                and all(isinstance(s, str) for s in instructions)
+                and isinstance(cam, dict)
+                and (ann is None or (isinstance(ann, dict) and _bad_label(ann) is None))):
+            return None
+        heads.append((rid, lab, tuple(instructions), None if ann is None else _annotations(ann),
+                      cam["pos"], cam["quat"], steps))
+    return heads
+
+
+def _build_chunk(heads: list, ts: list, ee_pos: np.ndarray, ee_quat: np.ndarray,
+                 gripper: np.ndarray, offsets: list[int]) -> list[DemoRecord] | None:
+    """A chunk's records from their heads (`_heads`) and chunk-wide step columns.
+
+    Record k holds rows offsets[k]:offsets[k + 1] of the decoded `ts` (as
+    int64), `ee_pos`, `ee_quat` and `gripper`, as slices.  None unless every
+    `t` is an integer, every camera holds 3 and 4 JSON numbers, and every
+    rule clearly holds: a NaN or infinity, a norm near the tolerance, a
+    gripper out of range or a `t` that does not rise leaves the verdict to
+    `parse_record`.  May raise TypeError or OverflowError for a camera value.
+    """
+    ts = np.array(ts)  # int64 only when every t is an integer
+    if ts.dtype != np.int64:
+        return None
+    poses, quats = [h[4] for h in heads], [h[5] for h in heads]
+    if set(map(len, poses)) != {3} or set(map(len, quats)) != {4}:
+        return None
+    cam = [*itertools.chain.from_iterable(poses), *itertools.chain.from_iterable(quats)]
+    if not _numbers(cam):
+        return None
+    m = len(heads)
+    cam = np.fromiter(cam, float, 7 * m)
+    # the cameras' rows first: one check covers them and the steps
+    threes = np.concatenate((cam[:3 * m].reshape(-1, 3), ee_pos))
+    fours = np.concatenate((cam[3 * m:].reshape(-1, 4), ee_quat))
+    rising = np.diff(ts) > 0
+    rising[np.array(offsets[1:-1], dtype=np.int64) - 1] = True  # record boundaries
+    if not (np.isfinite(threes).all() and _unit_rows(fours)
+            and ((gripper >= 0.0) & (gripper <= 1.0)).all() and rising.all()):
+        return None
+    cam_pos, ee_pos, cam_quat, ee_quat = threes[:m], threes[m:], fours[:m], fours[m:]
+    return [
+        DemoRecord(rid, lab, instructions, cp, cq,
+                   Steps(ts[a:b], ee_pos[a:b], ee_quat[a:b], gripper[a:b]), ann)
+        for (rid, lab, instructions, ann, _, _, _), cp, cq, a, b
+        in zip(heads, cam_pos, cam_quat, offsets, offsets[1:])
+    ]
+
+
 def _parse_chunk(objs: list) -> list[DemoRecord] | None:
     """Validate decoded objects together; None unless every one is clearly valid.
 
@@ -271,64 +346,139 @@ def _parse_chunk(objs: list) -> list[DemoRecord] | None:
     it would build, as row slices of chunk-wide arrays.  Anything unusual
     (a missing key, a ragged array, a value that is not a JSON number, a NaN,
     a non-integer `t`, a norm near the tolerance) returns None and leaves
-    the verdict to `parse_record`.
+    the verdict to `parse_record`.  This reads the objects of a chunk that
+    `_column_chunk` did not read: a loop takes each step's dict apart.
     """
-    heads = []
-    cam_pos, cam_quat, ts, ee_pos, ee_quat, gripper = [], [], [], [], [], []
-    offsets = [0]
+    ts, ee_pos, ee_quat, gripper, offsets = [], [], [], [], [0]
     try:
-        for obj in objs:
-            rid = obj["id"]
-            lab = obj["lab"]
-            instructions = obj["instructions"]
-            cam = obj["camera_extrinsics"]
-            steps = obj["steps"]
-            ann = obj.get("annotations")
-            if not (isinstance(rid, str) and rid and isinstance(lab, str)
-                    and isinstance(instructions, list)
-                    and all(isinstance(s, str) for s in instructions)
-                    and isinstance(cam, dict) and isinstance(steps, list) and steps
-                    and (ann is None or (isinstance(ann, dict) and _bad_label(ann) is None))):
+        heads = _heads(objs)
+        if heads is None:
+            return None
+        for head in heads:
+            steps = head[6]
+            if not (isinstance(steps, list) and steps):
                 return None
-            cam_pos.append(cam["pos"])
-            cam_quat.append(cam["quat"])
             for s in steps:
                 ts.append(s["t"])
                 ee_pos.append(s["ee_pos"])
                 ee_quat.append(s["ee_quat"])
                 gripper.append(s["gripper"])
             offsets.append(len(ts))
-            heads.append((rid, lab, tuple(instructions),
-                          None if ann is None else _annotations(ann)))
-        threes, fours = cam_pos + ee_pos, cam_quat + ee_quat
-        if set(map(len, threes)) != {3} or set(map(len, fours)) != {4}:
+        if set(map(len, ee_pos)) != {3} or set(map(len, ee_quat)) != {4}:
             return None
-        # every float of the chunk in one list: one type pass, one conversion
-        flat = [*itertools.chain.from_iterable(threes),
-                *itertools.chain.from_iterable(fours), *gripper]
+        # every float of the chunk's steps in one list: one type pass, one conversion
+        flat = [*itertools.chain.from_iterable(ee_pos),
+                *itertools.chain.from_iterable(ee_quat), *gripper]
         if not _numbers(itertools.chain(flat, ts)):
             return None
         values = np.fromiter(flat, float, len(flat))
-        ts = np.array(ts)  # int64 only when every t is an integer
+        n = len(ts)
+        return _build_chunk(heads, ts, values[:3 * n].reshape(-1, 3),
+                            values[3 * n:7 * n].reshape(-1, 4), values[7 * n:], offsets)
     except (KeyError, TypeError, ValueError, OverflowError):
         return None
-    if ts.dtype != np.int64:
+
+
+# The compact layout of a steps array, as `write_records` writes it:
+#   "steps":[{"t":T,"ee_pos":[X,Y,Z],"ee_quat":[W,X,Y,Z],"gripper":G},...]
+_STEPS_START = b'"steps":[{"t":'
+# the bytes of JSON numbers written with an upper-case exponent: the layout's
+# keys hold none of them
+_NUMBER_BYTES = b"0123456789+-.E"
+# one step of the layout with its numbers deleted, after the comma before it
+_STEP_SKELETON = b',{"t":,"ee_pos":[,,],"ee_quat":[,,,],"gripper":}'
+# keeps the number bytes and commas and makes every other byte JSON whitespace:
+# a tab for `:` and `[`, which come before a number's place, a newline for `]`
+# and `}`, which may come after one, and a space for the rest
+_TO_NUMBERS = bytes(c if c in _NUMBER_BYTES + b"," else ord("\t") if c in b":[" else
+                    ord("\n") if c in b"]}" else ord(" ") for c in range(256))
+_STEP_VALUES = 9  # t, 3 of ee_pos, 4 of ee_quat, gripper
+_BACKSLASH = ord("\\")  # an int: `in` on a bytes value finds it faster than b"\\"
+# Python writes exponents as e-05 and e+16; in the layout's keys no e comes before a sign
+_SIGNED_EXPONENT = re.compile(rb"e(?=[-+])")
+
+
+def _layout_sizes(arrays: bytes, m: int) -> list[int] | None:
+    """The step count of each of `m` steps arrays joined by commas, or None
+    unless each, less its number bytes, is the compact layout."""
+    parts = arrays.translate(None, _NUMBER_BYTES).split(b"],[")
+    if len(parts) != m:
         return None
-    m, a = len(heads), 3 * len(threes)
-    b = a + 4 * len(fours)
-    threes, fours, gripper = values[:a].reshape(-1, 3), values[a:b].reshape(-1, 4), values[b:]
-    cam_pos, ee_pos, cam_quat, ee_quat = threes[:m], threes[m:], fours[:m], fours[m:]
-    rising = np.diff(ts) > 0
-    rising[np.array(offsets[1:-1], dtype=np.int64) - 1] = True  # record boundaries
-    if not (np.isfinite(threes).all() and _unit_rows(fours)
-            and ((gripper >= 0.0) & (gripper <= 1.0)).all() and rising.all()):
+    sizes = [(len(part) + 1) // len(_STEP_SKELETON) for part in parts]
+    # the arrays as one: each part starts a step and ends one, so each holds whole steps
+    if b"," + b",".join(parts)[1:-1] != _STEP_SKELETON * sum(sizes):
         return None
-    return [
-        DemoRecord(rid, lab, instructions, cp, cq,
-                   Steps(ts[a:b], ee_pos[a:b], ee_quat[a:b], gripper[a:b]), ann)
-        for (rid, lab, instructions, ann), cp, cq, a, b
-        in zip(heads, cam_pos, cam_quat, offsets, offsets[1:])
-    ]
+    return sizes
+
+
+def _empty_place(flat: bytes) -> bool:
+    """Whether a number's place is empty in steps arrays that, less their
+    number bytes, are the compact layout, given their `_TO_NUMBERS` text:
+    a tab or comma right before a comma or newline."""
+    tab, newline, comma = b"\t\n,"
+    b = np.frombuffer(flat, np.uint8)
+    before, after = b[:-1], b[1:]
+    return bool((((before == tab) | (before == comma))
+                 & ((after == newline) | (after == comma))).any())
+
+
+def _column_chunk(chunk: list[bytes]) -> list[DemoRecord] | None:
+    """The chunk's records read as step columns; None unless each line allows it.
+
+    Each line but a blank one must hold a steps array that, less its number
+    bytes, is the compact layout, and no other "steps".  The rest of the
+    line (the header, with the array replaced by `[]`) must decode with
+    orjson into a record whose top-level "steps" is the one cut out.  Like
+    the array it stands for, `[]` is a whole value that no bytes after it
+    can extend into another, as they could a number.  All
+    the arrays, with every byte but the number bytes and commas made
+    whitespace, are decoded by one `orjson.loads` as a flat array of
+    numbers.  Each stretch between two commas holds one number's place, so
+    this is valid JSON only when each stretch holds one JSON number; as no
+    place is empty, that number is the place's own, and no number byte is
+    anywhere else.  The records must then clear the batch check of
+    `_build_chunk`.
+    """
+    for raw in chunk:
+        # an escape (as `write_records` writes for text that is not printable
+        # ASCII) refuses the chunk before any line of it is cut
+        if _BACKSLASH in raw:
+            return None
+    headers, arrays = [], []
+    for raw in chunk:
+        if raw.isspace():
+            continue
+        start = raw.find(_STEPS_START) + len(b'"steps":')
+        end = raw.rfind(b"}]") + len(b"}]")
+        if start < len(b'"steps":') or end <= start:
+            return None
+        headers.append(raw[:start] + b"[]" + raw[end:])
+        arrays.append(raw[start:end])
+    # without escapes, a key "steps" is spelled so: each header holds only the one cut
+    if not headers or b"\n".join(headers).count(b'"steps"') != len(headers):
+        return None
+    text = b",".join(arrays)
+    sizes = _layout_sizes(text, len(arrays))
+    if sizes is None:
+        # Retried only here: a scan for "e-" and "e+" costs as much as the
+        # layout check, and most chunks hold no exponent.
+        text = _SIGNED_EXPONENT.sub(b"E", text)
+        sizes = _layout_sizes(text, len(arrays))
+    if sizes is None or any(map(_too_deep, headers)):
+        return None
+    try:
+        heads = _heads(map(orjson.loads, headers))  # KeyError unless "steps" is top-level
+        if heads is None:
+            return None
+        flat = text.translate(_TO_NUMBERS)
+        if _empty_place(flat):
+            return None
+        values = orjson.loads(b"[" + flat + b"]")
+        steps = np.fromiter(values, float, len(values)).reshape(-1, _STEP_VALUES)
+        return _build_chunk(heads, values[::_STEP_VALUES], steps[:, 1:4], steps[:, 4:8],
+                            steps[:, 8].copy(), [0, *itertools.accumulate(sizes)])
+    except (orjson.JSONDecodeError, KeyError, TypeError, ValueError, OverflowError):
+        return None
 
 
 def _decode(raw: bytes, line: int):
@@ -403,11 +553,15 @@ def _reread_chunk(chunk: list[bytes], lineno: int, batch: bool):
 
 
 def _chunk_records(chunk: list[bytes], lineno: int):
-    """The chunk's records from its orjson objects, or the stdlib re-read of the chunk.
+    """The chunk's records read as columns, else from its orjson objects, else
+    from the stdlib re-read of the chunk.
 
     A plain function, so that the decoded objects are freed before the
     records are yielded.
     """
+    records = _column_chunk(chunk)
+    if records is not None:
+        return records
     objs = _orjson_objects(chunk)
     records = None if objs is None else _parse_chunk(objs)
     if records is None:
@@ -420,6 +574,8 @@ def _chunk_records(chunk: list[bytes], lineno: int):
 def iter_records(path):
     """Stream DemoRecords from a line-delimited file, validating each chunk.
 
+    A chunk is read as step columns when each of its lines allows it
+    (`_column_chunk`), else by decoding each line whole (`_parse_chunk`).
     Blank lines are skipped.  On the first bad line, the records before it
     are yielded and then its SchemaError or QuaternionNormError is raised.
     """

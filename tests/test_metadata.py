@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import json
 import os
+import re
 import socket
 import stat
 import struct
@@ -238,8 +239,8 @@ def _assert_same_records(got, want):
         for x, y in ((a.camera_pos, b.camera_pos), (a.camera_quat, b.camera_quat),
                      (a.steps.t, b.steps.t), (a.steps.ee_pos, b.steps.ee_pos),
                      (a.steps.ee_quat, b.steps.ee_quat), (a.steps.gripper, b.steps.gripper)):
-            assert (x.dtype, x.shape) == (y.dtype, y.shape)
-            np.testing.assert_array_equal(x, y)
+            assert (x.dtype, x.shape, x.flags.c_contiguous) == (y.dtype, y.shape, y.flags.c_contiguous)
+            assert x.tobytes() == y.tobytes()  # -0.0 and NaN payloads too
 
 
 def _rows():
@@ -257,6 +258,41 @@ def _dump(row) -> bytes:
 
 def _last_step(row, **fields):
     row["steps"][-1].update(fields)
+
+
+def _in_last_step(line: bytes, pattern: bytes, repl: bytes) -> bytes:
+    """`line` with `pattern` replaced once in the text of its last step."""
+    head, sep, tail = line.rpartition(b'{"t":')
+    step, n = re.subn(pattern, repl, sep + tail, count=1)
+    assert n == 1
+    return head + step
+
+
+def _two_steps_keys(line: bytes, bad_last: bool) -> bytes:
+    """`line` with a second top-level "steps", of one step.
+
+    Read as JSON, the last key wins.  With `bad_last` the second array's
+    gripper is out of range, else the last gripper of the first array is.
+    """
+    row = json.loads(line)
+    step = dict(row["steps"][0])
+    if bad_last:
+        step["gripper"] = 1.5
+    else:
+        _last_step(row, gripper=1.5)
+        line = _dump(row)
+    return line[:-2] + b',"steps":' + _dump([step])[:-1] + b"}\n"
+
+
+def _steps_first_in_extra(row):
+    """The steps nested in a field ahead of a top-level "steps" that is empty."""
+    fields = dict(row)
+    row.clear()
+    row.update(extra={"steps": fields.pop("steps")}, steps=[], **fields)
+
+
+def _swap_step_keys(row):
+    row["steps"][-1] = dict(reversed(row["steps"][-1].items()))
 
 
 _TOL = UNIT_NORM_TOL
@@ -313,12 +349,57 @@ _FAULTS = {
     "nested 600 deep in an extra field": lambda line: _nest_extra(line, 600),
     "nested 1200 deep in an extra field": lambda line: _nest_extra(line, 1200),
     "unclosed 2000 deep in an extra field": lambda line: _nest_extra(line, 2000, closed=False),
+    # steps arrays near the compact layout that the column reader must not misread
+    "key e_epos": lambda line: _in_last_step(line, rb'"ee_pos"', rb'"e_epos"'),
+    "key EE_pos": lambda line: _in_last_step(line, rb'"ee_pos"', rb'"EE_pos"'),
+    "digit in a key": lambda line: _in_last_step(line, rb'"ee_pos"', rb'"ee_p5os"'),
+    **{f"gripper {text.decode()}":
+       lambda line, text=text: _in_last_step(line, rb'"gripper":[^}]+', b'"gripper":' + text)
+       for text in (b"1e", b"e5", b"+1", b"01", b".5", b"1.")},
+    **{f"ee_pos {text.decode()}":
+       lambda line, text=text: _in_last_step(line, rb'"ee_pos":\[[^,]+', b'"ee_pos":[' + text)
+       for text in (b"1E5", b"1e5", b"1E-5")},
+    "fifth step key": lambda row: _last_step(row, contact=0.5),
+    "swapped step keys": _swap_step_keys,
+    "whitespace in steps": lambda line: _in_last_step(
+        line, rb'\],"ee_quat":\[', rb'], "ee_quat": ['),
+    "two steps keys, bad last": lambda line: _two_steps_keys(line, bad_last=True),
+    "two steps keys, bad first": lambda line: _two_steps_keys(line, bad_last=False),
+    "escaped steps key after the steps": lambda line: line[:-2] + b',"st\\u0065ps":0}\n',
+    "steps nested in annotations": lambda row: row.update(
+        annotations={"target_object": "mug", "steps": row["steps"][:1]}),
+    "valid steps nested ahead of empty steps": _steps_first_in_extra,
+    "steps split in two arrays": lambda line: line.replace(b'},{"t":', b'}],[{"t":', 1),
+    "}] in an annotation string": lambda row: row.update(annotations={"object_color": "red}]"}),
+    # a number moved out of its place but not past a comma: the place is empty
+    "t moved into its key": lambda line: _in_last_step(line, rb'"t":([^,]+),', rb'"t\1":,'),
+    "x moved into its key": lambda line: _in_last_step(
+        line, rb'"ee_pos":\[([^,]+),', rb'"ee_pos\1":[,'),
+    "w moved before its bracket": lambda line: _in_last_step(
+        line, rb'"ee_quat":\[([^,]+),', rb'"ee_quat":\1[,'),
+    "z moved past its bracket": lambda line: _in_last_step(
+        line, rb',([^,\]]+)\],"ee_quat"', rb',]\1,"ee_quat"'),
+    "gripper moved into its key": lambda line: _in_last_step(
+        line, rb'"gripper":([^}]+)}', rb'"gripper\1":}'),
+    "gripper moved past its brace": lambda line: _in_last_step(
+        line, rb'"gripper":([^}]+)}', rb'"gripper":}\1'),
+    # bytes after the steps array that would extend a number put in its place
+    **{f"{text.decode()} after the steps": lambda line, text=text: line.replace(
+        b'}],"annotations"', b"}]" + text + b',"annotations"', 1)
+       for text in (b".5", b"e5", b"E+1", b"0")},
 }
 _NON_NUMBER_FAULTS = ("string ee_pos", "bool ee_pos", "string gripper", "bool camera quat",
                       "string object_position")
 # faults on the encoded line rather than on the row
 _LINE_FAULTS = ("bad json", "non-utf8", "utf-8 BOM", "nested 600 deep in an extra field",
-                "nested 1200 deep in an extra field", "unclosed 2000 deep in an extra field")
+                "nested 1200 deep in an extra field", "unclosed 2000 deep in an extra field",
+                "key e_epos", "key EE_pos", "digit in a key",
+                *(f"gripper {t}" for t in ("1e", "e5", "+1", "01", ".5", "1.")),
+                "ee_pos 1E5", "ee_pos 1e5", "ee_pos 1E-5", "whitespace in steps",
+                "two steps keys, bad last", "two steps keys, bad first",
+                "escaped steps key after the steps", "steps split in two arrays",
+                *(name for name in _FAULTS if " moved " in name),
+                *(name for name in _FAULTS if name.endswith(" after the steps")))
 
 
 def _nest_extra(line: bytes, depth: int, closed: bool = True) -> bytes:
@@ -360,21 +441,27 @@ def test_chunked_reader_matches_line_by_line(tmp_path, case):
         _write_valid(case[1], path)
     else:
         fault, role = case
-        rows = _rows()
-        lines = [_dump(row) for row in rows]
-        path.write_bytes(b"".join(lines))
+        place = {"first": 0, "middle": None, "last": -1}[role]
+        clean = [_dump(row) for row in _rows()]
+        path.write_bytes(b"".join(clean))
         second = _chunks(path)[1]
-        target = {"first": second[0], "middle": second[len(second) // 2],
-                  "last": second[-1]}[role]
-        inject = _FAULTS[fault]
-        if fault in _LINE_FAULTS:
-            lines[target - 1] = inject(lines[target - 1])
+        at = len(second) // 2 if place is None else place
+        # A fault that lengthens its line may move the chunk bounds: from the
+        # line in the role's place on, take the first that keeps the role.
+        for target in second[at:] + second[:at]:
+            rows, lines = _rows(), list(clean)
+            inject = _FAULTS[fault]
+            if fault in _LINE_FAULTS:
+                lines[target - 1] = inject(lines[target - 1])
+            else:
+                inject(rows[target - 1])
+                lines[target - 1] = _dump(rows[target - 1])
+            path.write_bytes(b"".join(lines))
+            chunk = next(c for c in _chunks(path) if target in c)
+            if chunk[len(chunk) // 2 if place is None else place] == target:
+                break
         else:
-            inject(rows[target - 1])
-            lines[target - 1] = _dump(rows[target - 1])
-        path.write_bytes(b"".join(lines))
-        chunk = next(c for c in _chunks(path) if target in c)
-        assert chunk[{"first": 0, "middle": len(chunk) // 2, "last": -1}[role]] == target
+            pytest.fail(f"no line of the second chunk stays {role} in its chunk")
         assert len(chunk) >= 3
     got, got_err = _chunked(path)
     want, want_err = _line_by_line(path)
@@ -414,6 +501,104 @@ def test_valid_chunks_never_reach_the_stdlib_decoder(tmp_path, monkeypatch):
 
     monkeypatch.setattr(metadata, "_decode", refuse)
     _assert_same_records(metadata.ingest(path), want)
+
+
+def test_written_records_take_the_column_path(tmp_path, monkeypatch):
+    big = tmp_path / "big.jsonl"
+    _write_big_corpus(big, 300)  # 2-step lines, as criterion 09 reads them
+    records = metadata.ingest(big)
+    for i in range(8):
+        record = make_record(rid=f"long{i}", n=150, obj_pos=(3e-05 * i, -2.5e-07, 0.02))
+        record.steps.ee_pos[7 + i] = (1e16 * (i + 1), -3e20, 1e-05)
+        records.insert(40 * i, metadata.annotate_record(record) if i % 2 else record)
+    path = tmp_path / "corpus.jsonl"
+    metadata.write_records(path, records)
+    text = path.read_bytes()
+    assert all(x in text for x in (b"e-05", b"e-07", b"e+16", b"e+20", b'"annotations":{'))
+    want, want_err = _line_by_line(path)
+    assert want_err is None
+
+    def refuse(*args):
+        raise AssertionError("a chunk left the column reader")
+
+    monkeypatch.setattr(metadata, "_orjson_objects", refuse)
+    monkeypatch.setattr(metadata, "_parse_chunk", refuse)
+    got = metadata.ingest(path)
+    _assert_same_records(got, want)
+    assert all(r.steps.t.base is not None for r in got)
+
+
+# values whose text the column reader must read as the stdlib does
+_SPECIAL_FLOATS = (0.0, -0.0, 1e-05, -2.5e-07, 5e-324, 1e16, -3e20, 1.7976931348623157e308)
+_SPECIAL_GRIPPERS = (-0.0, 1e-05, 3e-07, 1.0)
+_UNIT_QUATS = np.array([(1.0, 0.0, 0.0, 0.0), (-0.0, 0.0, 1.0, -0.0), (0.5, -0.5, 0.5, 0.5),
+                        (0.6, 0.0, 0.8, 0.0), (0.0, 1e-09, 0.0, -1.0)])
+_MUTATION_BYTES = b'0123456789eE+-., "[]{}:x\\'
+
+
+@st.composite
+def _column_records(draw):
+    """A valid record of 1-200 steps: seeded values with drawn special values put in."""
+    n = draw(st.integers(1, 200))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    t = draw(st.integers(-2**62, 2**62)) + np.cumsum(rng.integers(1, 1000, n))
+    ee_pos, cam_pos = rng.uniform(-1.0, 1.0, (n, 3)), rng.uniform(-1.0, 1.0, 3)
+    gripper = np.where(rng.random(n) < 0.5, rng.random(n), rng.integers(0, 2, n).astype(float))
+    for where in draw(st.lists(st.sampled_from(["ee_pos", "cam_pos", "gripper"]), max_size=6)):
+        i = draw(st.integers(0, n - 1))
+        if where == "gripper":
+            gripper[i] = draw(st.sampled_from(_SPECIAL_GRIPPERS))
+        else:
+            array = ee_pos[i] if where == "ee_pos" else cam_pos
+            array[draw(st.integers(0, 2))] = draw(st.sampled_from(_SPECIAL_FLOATS))
+    ann = draw(st.sampled_from([None, metadata.Annotations(),
+                                metadata.Annotations("mug", (0.2, -0.0, 1e-05), "red", None)]))
+    return metadata.DemoRecord(f"r{n}", "lab1", ("pick up the mug",), cam_pos,
+                               _UNIT_QUATS[rng.integers(0, len(_UNIT_QUATS))],
+                               metadata.Steps(t, ee_pos, _UNIT_QUATS[rng.integers(0, len(_UNIT_QUATS), n)],
+                                              gripper), ann)
+
+
+@given(st.lists(_column_records(), min_size=1, max_size=6), st.data())
+@settings(max_examples=500, deadline=None)
+def test_chunked_reader_matches_line_by_line_on_drawn_records(tmp_path_factory, records, data):
+    path = tmp_path_factory.mktemp("read") / "corpus.jsonl"
+    metadata.write_records(path, records)
+    lines = path.read_bytes().splitlines(keepends=True)
+    k = data.draw(st.integers(0, len(lines) - 1))
+    line = lines[k]
+    start, end = line.index(b'"steps":') + len(b'"steps":'), line.rindex(b"}]") + len(b"}]")
+    # half the edits at a byte of the layout's keys and brackets, which are few
+    keys = [start + i for i, c in enumerate(line[start:end]) if c not in b"0123456789+-.eE"]
+    at = data.draw(st.one_of(st.sampled_from(keys), st.integers(start, end)))
+    byte = bytes([data.draw(st.sampled_from(_MUTATION_BYTES))])
+    mutation = data.draw(st.sampled_from(["insert", "delete", "replace", "integer", "move", "none"]))
+    if mutation == "delete":
+        line = line[:at] + line[at + 1:]
+    elif mutation == "insert":
+        line = line[:at] + byte + line[at:]
+    elif mutation == "replace":
+        line = line[:at] + byte + line[at + 1:]
+    elif mutation == "integer":  # an integer in a float field: 1.0 -> 1
+        ends = [m.start() for m in re.finditer(rb"\.0(?=[,\]}])", line[start:end])]
+        if ends:
+            cut = start + data.draw(st.sampled_from(ends))
+            line = line[:cut] + line[cut + 2:]
+    elif mutation == "move":  # a number's text to a nearby byte: '"t":5,' -> '"t5":,'
+        a, b = data.draw(st.sampled_from(
+            [m.span() for m in re.finditer(rb"-?\d[\d.eE+-]*", line[start:end])]))
+        number, line = line[start + a:start + b], line[:start + a] + line[start + b:]
+        to = data.draw(st.integers(max(start, start + a - 12), min(end - (b - a), start + a + 12)))
+        line = line[:to] + number + line[to:]
+    lines[k] = line
+    path.write_bytes(b"".join(lines))
+    got, got_err = _chunked(path)
+    want, want_err = _line_by_line(path)
+    _assert_same_records(got, want)
+    assert type(got_err) is type(want_err)
+    if want_err is not None:
+        assert str(got_err) == str(want_err)
+        assert got_err.report() == want_err.report()
 
 
 def _count_calls(monkeypatch, name) -> list:
