@@ -21,7 +21,7 @@ and a numpy check that no number's place is empty; the numbers of all the
 chunk's arrays are decoded by one `orjson.loads` of a flat array, and only
 the rest of each line is decoded into a dict, so no dict or list is made
 per step.  Any other chunk (a line with whitespace in its steps, other step
-keys or key order, escapes outside its steps, or anything the column reader
+keys or key order, an escape anywhere, or anything the column reader
 does not clear) has each line decoded whole with `orjson`, and
 `_parse_chunk` takes its step dicts apart.  The stdlib
 `json` and `parse_record` are the only definition of the rules and the only
