@@ -8,36 +8,29 @@ Records live in line-delimited JSON, one demonstration per line:
                 "gripper": float}, ...],
      "annotations": {...} | null}
 
-`iter_records` reads a corpus in chunks of about CHUNK_BYTES of lines, and
-validates the records of a chunk together: their steps are flat `t`,
-`ee_pos`, `ee_quat` and `gripper` arrays, each rule is one array operation
-over the chunk (with the steps where one record ends and the next begins
-left out of the time-order check), and the records are built from row
-slices of those arrays, so records of one chunk share memory.  A chunk is
-first read as columns (`_column_chunk`).  When every line holds its steps
-array in the compact layout that `write_records` writes, each array is cut
-out of its line and checked against that layout with `bytes.translate`
-and a numpy check that no number's place is empty; the numbers of all the
-chunk's arrays are decoded by one `orjson.loads` of a flat array, and only
-the rest of each line is decoded into a dict, so no dict or list is made
-per step.  Any other chunk (a line with whitespace in its steps, other step
-keys or key order, an escape anywhere, or anything the column reader
-does not clear) has each line decoded whole with `orjson`, and
-`_parse_chunk` takes its step dicts apart.  The stdlib
-`json` and `parse_record` are the only definition of the rules and the only
-code that raises for a bad line: when `orjson` refuses a line of a chunk, a
-line nests deeper than _MAX_FAST_DEPTH, or the batch check does not clear
-every record, the chunk is read again with the stdlib `json`.  A chunk the
-batch check refused then goes record by record through `parse_record`;
-any other is checked as a batch first, and record by record unless that
-clears it.  `orjson` accepts no line that the stdlib refuses and reads
-every float to the same double; what it refuses and the stdlib accepts (NaN
-and Infinity, lone surrogates, a BOM, numbers past the double range) takes
-the re-read.  The one value it reads differently, an integer outside the
-64-bit range (a float to orjson), is valid only where a float is, so it
-gives the same record.  The first bad line wins: the records before it are
-yielded, then its error is raised with the same class, line, field and
-message as a line-by-line read would give.
+`iter_records` reads a corpus in chunks of about CHUNK_BYTES of lines and
+validates the records of a chunk together (`_column_chunk`): their steps are
+flat `t`, `ee_pos`, `ee_quat` and `gripper` arrays, each rule is one array
+operation over the chunk (with the steps where one record ends and the next
+begins left out of the time-order check), and the records are built from row
+slices of those arrays, so records of one chunk share memory.  Each line's
+steps array, compact as `write_records` writes it or with the `", "` and
+`": "` separators of `json.dumps`' defaults, is cut out and checked against
+that layout with `bytes.translate` and numpy; the numbers of all the chunk's
+arrays are decoded by one `orjson.loads` of a flat array, and only the rest
+of each line, escapes and all, into a dict, so no dict or list is made per
+step.  Every other chunk (other whitespace or key order in a steps array, an
+escaped key, a line `orjson` refuses or that nests deeper than
+_MAX_FAST_DEPTH, a record the batch check does not clear) is read line by
+line by the stdlib `json` and `parse_record`, the only definition of the
+rules and the only code that raises for a bad line.  `orjson` accepts no
+line that the stdlib refuses and reads every float to the same double; what
+it refuses and the stdlib accepts (NaN and Infinity, lone surrogates, a BOM,
+numbers past the double range) is read line by line.  The one value it reads
+differently, an integer outside the 64-bit range (a float to orjson), is
+valid only where a float is, so it gives the same record.  The first bad line
+wins: the records before it are yielded, then its error is raised with the
+same class, line, field and message as a line-by-line read would give.
 
 `write_records` writes each record as the stdlib's compact `json.dumps` of
 `record_to_dict` would, byte for byte.  `orjson` encodes a record about 4x
@@ -274,12 +267,13 @@ def _unit_rows(quats: np.ndarray) -> bool:
 
 
 def _heads(objs) -> list[tuple] | None:
-    """The (id, lab, instructions, annotations, camera pos, camera quat, steps) of decoded records.
+    """The (id, lab, instructions, annotations, camera pos, camera quat) of
+    decoded headers, whose top-level "steps" is the placeholder `[]`.
 
-    None unless every field but the camera values and the steps has the type
-    `parse_record` requires; raises KeyError (a missing key), TypeError,
-    ValueError or OverflowError for some bad values.  The camera values and
-    the steps are as decoded.
+    None unless every field but the camera values has the type
+    `parse_record` requires and "steps" is `[]`; raises KeyError (a missing
+    key), TypeError, ValueError or OverflowError for some bad values.  The
+    camera values are as decoded.
     """
     heads = []
     for obj in objs:
@@ -287,16 +281,15 @@ def _heads(objs) -> list[tuple] | None:
         lab = obj["lab"]
         instructions = obj["instructions"]
         cam = obj["camera_extrinsics"]
-        steps = obj["steps"]
         ann = obj.get("annotations")
-        if not (isinstance(rid, str) and rid and isinstance(lab, str)
+        if not (obj["steps"] == [] and isinstance(rid, str) and rid and isinstance(lab, str)
                 and isinstance(instructions, list)
                 and all(isinstance(s, str) for s in instructions)
                 and isinstance(cam, dict)
                 and (ann is None or (isinstance(ann, dict) and _bad_label(ann) is None))):
             return None
         heads.append((rid, lab, tuple(instructions), None if ann is None else _annotations(ann),
-                      cam["pos"], cam["quat"], steps))
+                      cam["pos"], cam["quat"]))
     return heads
 
 
@@ -334,54 +327,13 @@ def _build_chunk(heads: list, ts: list, ee_pos: np.ndarray, ee_quat: np.ndarray,
     return [
         DemoRecord(rid, lab, instructions, cp, cq,
                    Steps(ts[a:b], ee_pos[a:b], ee_quat[a:b], gripper[a:b]), ann)
-        for (rid, lab, instructions, ann, _, _, _), cp, cq, a, b
+        for (rid, lab, instructions, ann, _, _), cp, cq, a, b
         in zip(heads, cam_pos, cam_quat, offsets, offsets[1:])
     ]
 
 
-def _parse_chunk(objs: list) -> list[DemoRecord] | None:
-    """Validate decoded objects together; None unless every one is clearly valid.
-
-    Accepts only records that `parse_record` accepts and builds the records
-    it would build, as row slices of chunk-wide arrays.  Anything unusual
-    (a missing key, a ragged array, a value that is not a JSON number, a NaN,
-    a non-integer `t`, a norm near the tolerance) returns None and leaves
-    the verdict to `parse_record`.  This reads the objects of a chunk that
-    `_column_chunk` did not read: a loop takes each step's dict apart.
-    """
-    ts, ee_pos, ee_quat, gripper, offsets = [], [], [], [], [0]
-    try:
-        heads = _heads(objs)
-        if heads is None:
-            return None
-        for head in heads:
-            steps = head[6]
-            if not (isinstance(steps, list) and steps):
-                return None
-            for s in steps:
-                ts.append(s["t"])
-                ee_pos.append(s["ee_pos"])
-                ee_quat.append(s["ee_quat"])
-                gripper.append(s["gripper"])
-            offsets.append(len(ts))
-        if set(map(len, ee_pos)) != {3} or set(map(len, ee_quat)) != {4}:
-            return None
-        # every float of the chunk's steps in one list: one type pass, one conversion
-        flat = [*itertools.chain.from_iterable(ee_pos),
-                *itertools.chain.from_iterable(ee_quat), *gripper]
-        if not _numbers(itertools.chain(flat, ts)):
-            return None
-        values = np.fromiter(flat, float, len(flat))
-        n = len(ts)
-        return _build_chunk(heads, ts, values[:3 * n].reshape(-1, 3),
-                            values[3 * n:7 * n].reshape(-1, 4), values[7 * n:], offsets)
-    except (KeyError, TypeError, ValueError, OverflowError):
-        return None
-
-
 # The compact layout of a steps array, as `write_records` writes it:
-#   "steps":[{"t":T,"ee_pos":[X,Y,Z],"ee_quat":[W,X,Y,Z],"gripper":G},...]
-_STEPS_START = b'"steps":[{"t":'
+#   [{"t":T,"ee_pos":[X,Y,Z],"ee_quat":[W,X,Y,Z],"gripper":G},...]
 # the bytes of JSON numbers written with an upper-case exponent: the layout's
 # keys hold none of them
 _NUMBER_BYTES = b"0123456789+-.E"
@@ -394,8 +346,25 @@ _TO_NUMBERS = bytes(c if c in _NUMBER_BYTES + b"," else ord("\t") if c in b":[" 
                     ord("\n") if c in b"]}" else ord(" ") for c in range(256))
 _STEP_VALUES = 9  # t, 3 of ee_pos, 4 of ee_quat, gripper
 _BACKSLASH = ord("\\")  # an int: `in` on a bytes value finds it faster than b"\\"
+# A string from its first escape on, and the `:` after it if it is a key:
+# `"\u0073teps"` is a "steps" key that the cut does not see, and both
+# decoders keep the last of two equal keys.  The repeat stops only where what
+# follows it matches, so it never backtracks, and as matches do not overlap,
+# each string is scanned once.
+_ESCAPED_STRING = re.compile(rb'\\.(?:[^"\\]+|\\.)*(?:"([ \t\n\r]*:)?|\\?\Z)', re.DOTALL)
 # Python writes exponents as e-05 and e+16; in the layout's keys no e comes before a sign
 _SIGNED_EXPONENT = re.compile(rb"e(?=[-+])")
+
+
+def _unspaced(arrays: bytes) -> bytes | None:
+    """Steps arrays less each space right after a `,` or `:`, the separators
+    that `json.dumps` writes by default; None if they hold any other space."""
+    comma, colon, space = b",: "
+    b = np.frombuffer(arrays, np.uint8)
+    before = b[:-1]  # the arrays start with `[`
+    if ((b[1:] == space) & (before != comma) & (before != colon)).any():
+        return None
+    return arrays.translate(None, b" ")
 
 
 def _layout_sizes(arrays: bytes, m: int) -> list[int] | None:
@@ -425,12 +394,17 @@ def _empty_place(flat: bytes) -> bool:
 def _column_chunk(chunk: list[bytes]) -> list[DemoRecord] | None:
     """The chunk's records read as step columns; None unless each line allows it.
 
-    Each line but a blank one must hold a steps array that, less its number
-    bytes, is the compact layout, and no other "steps".  The rest of the
-    line (the header, with the array replaced by `[]`) must decode with
-    orjson into a record whose top-level "steps" is the one cut out.  Like
-    the array it stands for, `[]` is a whole value that no bytes after it
-    can extend into another, as they could a number.  All
+    Each line but a blank one is cut at the value of a "steps" key: from the
+    `[` after it (with only whitespace and one `:` between) to the line's
+    last `}]`.  The cut-out array, less one space after each `,` and
+    `:` (the separators `json.dumps` writes by default) and less its number
+    bytes, must be the compact layout; any other space, and any escape,
+    refuses it.  The rest of the line (the header, with the array replaced
+    by `[]`) must hold no other "steps" and no escape in a key, and must
+    decode with orjson into a record whose top-level "steps" is the one cut
+    out.  Escapes in its values are read by orjson as by the stdlib, or
+    refused.  Like the array it stands for, `[]` is a whole value that no
+    bytes after it can extend into another, as they could a number.  All
     the arrays, with every byte but the number bytes and commas made
     whitespace, are decoded by one `orjson.loads` as a flat array of
     numbers.  Each stretch between two commas holds one number's place, so
@@ -439,25 +413,32 @@ def _column_chunk(chunk: list[bytes]) -> list[DemoRecord] | None:
     anywhere else.  The records must then clear the batch check of
     `_build_chunk`.
     """
-    for raw in chunk:
-        # an escape (as `write_records` writes for text that is not printable
-        # ASCII) refuses the chunk before any line of it is cut
-        if _BACKSLASH in raw:
-            return None
     headers, arrays = [], []
     for raw in chunk:
         if raw.isspace():
             continue
-        start = raw.find(_STEPS_START) + len(b'"steps":')
+        start = raw.find(b'"steps":[') + len(b'"steps":')
+        if start < len(b'"steps":'):  # whitespace around the colon, as in `"steps": [`
+            key = raw.find(b'"steps"') + len(b'"steps"')
+            start = raw.find(b"[", key)
+            if key < len(b'"steps"') or start < 0 or raw[key:start].strip() != b":":
+                return None
         end = raw.rfind(b"}]") + len(b"}]")
-        if start < len(b'"steps":') or end <= start:
+        if end <= start:
             return None
-        headers.append(raw[:start] + b"[]" + raw[end:])
+        header = raw[:start] + b"[]" + raw[end:]
+        if _BACKSLASH in header and any(_ESCAPED_STRING.findall(header)):  # an escaped key
+            return None
+        headers.append(header)
         arrays.append(raw[start:end])
-    # without escapes, a key "steps" is spelled so: each header holds only the one cut
+    # with no escape in a key, a key "steps" is spelled so: each header holds only the one cut
     if not headers or b"\n".join(headers).count(b'"steps"') != len(headers):
         return None
     text = b",".join(arrays)
+    if b" " in text:  # a memchr: compact chunks skip the normalisation
+        text = _unspaced(text)
+        if text is None:
+            return None
     sizes = _layout_sizes(text, len(arrays))
     if sizes is None:
         # Retried only here: a scan for "e-" and "e+" costs as much as the
@@ -467,7 +448,7 @@ def _column_chunk(chunk: list[bytes]) -> list[DemoRecord] | None:
     if sizes is None or any(map(_too_deep, headers)):
         return None
     try:
-        heads = _heads(map(orjson.loads, headers))  # KeyError unless "steps" is top-level
+        heads = _heads(map(orjson.loads, headers))
         if heads is None:
             return None
         flat = text.translate(_TO_NUMBERS)
@@ -518,71 +499,29 @@ def _too_deep(raw: bytes) -> bool:
     return opens > _MAX_FAST_DEPTH and _depth(raw) > _MAX_FAST_DEPTH
 
 
-def _orjson_objects(chunk: list[bytes]) -> list | None:
-    """The chunk's objects as decoded by orjson, or None to have the stdlib decode it."""
-    lines = [raw for raw in chunk if not raw.isspace()]
-    if any(map(_too_deep, lines)):
-        return None
-    try:
-        return list(map(orjson.loads, lines))
-    except orjson.JSONDecodeError:
-        return None
-
-
-def _reread_chunk(chunk: list[bytes], lineno: int, batch: bool):
-    """Decode a chunk with the stdlib `json` and validate it, raising at its first bad line.
-
-    With `batch`, the objects are checked together first; without it, every
-    line goes through `parse_record`.
-    """
-    objs, lines, error = [], [], None
+def _reread_chunk(chunk: list[bytes], lineno: int):
+    """Decode a chunk's lines one by one with the stdlib `json` and validate
+    each with `parse_record`, raising at the first bad line."""
     for raw in chunk:
         lineno += 1
-        if not raw.strip():
-            continue
-        try:
-            objs.append(_decode(raw, lineno))
-        except SchemaError as exc:
-            error = exc
-            break
-        lines.append(lineno)
-    records = _parse_chunk(objs) if batch else None
-    yield from map(parse_record, objs, lines) if records is None else records
-    if error is not None:
-        raise error
-
-
-def _chunk_records(chunk: list[bytes], lineno: int):
-    """The chunk's records read as columns, else from its orjson objects, else
-    from the stdlib re-read of the chunk.
-
-    A plain function, so that the decoded objects are freed before the
-    records are yielded.
-    """
-    records = _column_chunk(chunk)
-    if records is not None:
-        return records
-    objs = _orjson_objects(chunk)
-    records = None if objs is None else _parse_chunk(objs)
-    if records is None:
-        # the batch check would refuse the stdlib's objects too: the two
-        # decoders agree on every value that can pass it
-        return _reread_chunk(chunk, lineno, batch=objs is None)
-    return records
+        if raw.strip():
+            yield parse_record(_decode(raw, lineno), lineno)
 
 
 def iter_records(path):
     """Stream DemoRecords from a line-delimited file, validating each chunk.
 
     A chunk is read as step columns when each of its lines allows it
-    (`_column_chunk`), else by decoding each line whole (`_parse_chunk`).
-    Blank lines are skipped.  On the first bad line, the records before it
-    are yielded and then its SchemaError or QuaternionNormError is raised.
+    (`_column_chunk`), else line by line by the stdlib `json` and
+    `parse_record` (`_reread_chunk`).  Blank lines are skipped.  On the
+    first bad line, the records before it are yielded and then its
+    SchemaError or QuaternionNormError is raised.
     """
     with open(path, "rb") as fh:
         lineno = 0
         while chunk := fh.readlines(CHUNK_BYTES):
-            yield from _chunk_records(chunk, lineno)
+            records = _column_chunk(chunk)
+            yield from _reread_chunk(chunk, lineno) if records is None else records
             lineno += len(chunk)
 
 

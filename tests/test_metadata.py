@@ -7,6 +7,8 @@ import socket
 import stat
 import struct
 import threading
+import time
+from dataclasses import replace
 from http.server import BaseHTTPRequestHandler, HTTPServer
 from unittest import mock
 
@@ -256,6 +258,11 @@ def _dump(row) -> bytes:
     return json.dumps(row, separators=(",", ":")).encode() + b"\n"
 
 
+def _spaced(line: bytes) -> bytes:
+    """`line` as `json.dumps` writes it by default, with `", "` and `": "` separators."""
+    return json.dumps(json.loads(line)).encode() + b"\n"
+
+
 def _last_step(row, **fields):
     row["steps"][-1].update(fields)
 
@@ -366,6 +373,17 @@ _FAULTS = {
     "two steps keys, bad last": lambda line: _two_steps_keys(line, bad_last=True),
     "two steps keys, bad first": lambda line: _two_steps_keys(line, bad_last=False),
     "escaped steps key after the steps": lambda line: line[:-2] + b',"st\\u0065ps":0}\n',
+    "escaped steps key ahead of the steps": lambda line: b'{"\\u0073teps":[],' + line[1:],
+    "escaped quote in a steps key": lambda line: line.replace(b'"steps":', b'"a\\"steps":', 1),
+    # json.dumps' default separators, with a space where they put none
+    "default separators": _spaced,
+    "default separators, double space": lambda line: _in_last_step(
+        _spaced(line), rb', "ee_quat"', rb',  "ee_quat"'),
+    "space between number bytes": lambda line: _in_last_step(
+        _spaced(line), rb'"ee_pos": \[(-?\d)', rb'"ee_pos": [\1 '),
+    "space in a step key": lambda line: _in_last_step(_spaced(line), rb'"gripper"', rb'"gripper "'),
+    "space after [": lambda line: _in_last_step(_spaced(line), rb'"ee_quat": \[', rb'"ee_quat": [ '),
+    "space after {": lambda line: _in_last_step(_spaced(line), rb'\{"t"', rb'{ "t"'),
     "steps nested in annotations": lambda row: row.update(
         annotations={"target_object": "mug", "steps": row["steps"][:1]}),
     "valid steps nested ahead of empty steps": _steps_first_in_extra,
@@ -397,7 +415,9 @@ _LINE_FAULTS = ("bad json", "non-utf8", "utf-8 BOM", "nested 600 deep in an extr
                 *(f"gripper {t}" for t in ("1e", "e5", "+1", "01", ".5", "1.")),
                 "ee_pos 1E5", "ee_pos 1e5", "ee_pos 1E-5", "whitespace in steps",
                 "two steps keys, bad last", "two steps keys, bad first",
-                "escaped steps key after the steps", "steps split in two arrays",
+                "escaped steps key after the steps", "escaped steps key ahead of the steps",
+                "escaped quote in a steps key", "steps split in two arrays",
+                *(name for name in _FAULTS if "separators" in name or name.startswith("space ")),
                 *(name for name in _FAULTS if " moved " in name),
                 *(name for name in _FAULTS if name.endswith(" after the steps")))
 
@@ -413,8 +433,18 @@ def _write_valid(kind, path):
     if kind == "big corpus":
         _write_big_corpus(path, 3000)
         return
-    lines = [_dump(row) for row in _rows()]
-    if kind == "blank lines":
+    rows = _rows()
+    if kind == "escaped text":  # text that the stdlib writes with escapes
+        for row in rows[::3]:
+            row.update(id=row["id"] + "-caf\u00e9", lab="l\u00e4b",
+                       instructions=['put the "\u4e2d" cup \\ on the tray \U0001f600'])
+            if row["annotations"]:
+                row["annotations"] = {**row["annotations"], "target_object": "mug \u2615",
+                                      "object_color": "r\u00f8d", "camera_bin": "vue \u2713"}
+    lines = [_dump(row) for row in rows]
+    if kind == "default separators":
+        lines = list(map(_spaced, lines))
+    elif kind == "blank lines":
         for k in (0, 5, 6, 17, 30):
             lines.insert(k, (b"\n", b"   \n", b"\t\r\n", b"\r\n", b" \x0c\n")[k % 5])
         lines.append(b"   ")
@@ -431,7 +461,8 @@ def _write_valid(kind, path):
 
 @pytest.mark.parametrize(
     "case",
-    [("valid", kind) for kind in ("big corpus", "blank lines", "crlf", "chunk-sized lines")]
+    [("valid", kind) for kind in ("big corpus", "blank lines", "crlf", "chunk-sized lines",
+                                  "escaped text", "default separators")]
     + [(fault, role) for fault in _FAULTS for role in ("first", "middle", "last")],
     ids="/".join,
 )
@@ -488,6 +519,22 @@ def test_deeply_nested_line_is_a_schema_error(tmp_path, closed):
     assert "invalid JSON: maximum recursion depth exceeded" in str(got_err)
 
 
+@pytest.mark.parametrize("tail", [b'"}\n', b"\\"], ids=["closed", "unterminated"])
+def test_a_long_escaped_string_is_scanned_once(tmp_path, tail):
+    # 20k escapes in one string after the steps: searching again from each
+    # escape, or from each after the end of an unterminated string, takes minutes
+    line = _dump(demo_row(rid="a"))[:-2] + b',"extra":"' + b"\\u4e2d" * 20_000 + tail
+    path = tmp_path / "corpus.jsonl"
+    path.write_bytes(_dump(demo_row(rid="b")) + line)
+    start = time.perf_counter()
+    got, got_err = _chunked(path)
+    assert time.perf_counter() - start < 2.0
+    want, want_err = _line_by_line(path)
+    _assert_same_records(got, want)
+    assert type(got_err) is type(want_err)
+    assert got_err is None or got_err.report() == want_err.report()
+
+
 def test_valid_chunks_never_reach_the_stdlib_decoder(tmp_path, monkeypatch):
     path = tmp_path / "corpus.jsonl"
     rows = _rows() + [demo_row(rid="long", n=400)]  # more than _MAX_FAST_DEPTH brackets
@@ -511,21 +558,32 @@ def test_written_records_take_the_column_path(tmp_path, monkeypatch):
         record = make_record(rid=f"long{i}", n=150, obj_pos=(3e-05 * i, -2.5e-07, 0.02))
         record.steps.ee_pos[7 + i] = (1e16 * (i + 1), -3e20, 1e-05)
         records.insert(40 * i, metadata.annotate_record(record) if i % 2 else record)
+    # text that `write_records` escapes, in every string field of every third record
+    records[::3] = [
+        replace(r, id=f"{r.id}-caf\u00e9", lab="l\u00e4b",
+                instructions=(*r.instructions, 'put the "\u4e2d" cup \\ on the tray \U0001f600'),
+                annotations=metadata.Annotations("mug \u2615", None, "r\u00f8d", "vue \u2713"))
+        for r in records[::3]]
     path = tmp_path / "corpus.jsonl"
     metadata.write_records(path, records)
     text = path.read_bytes()
-    assert all(x in text for x in (b"e-05", b"e-07", b"e+16", b"e+20", b'"annotations":{'))
-    want, want_err = _line_by_line(path)
-    assert want_err is None
+    assert all(x in text for x in (b"e-05", b"e-07", b"e+16", b"e+20", b'"annotations":{',
+                                   b"\\u00e9", b'\\"', b"\\\\", b"\\ud83d"))
+    # the same records as a converter using json.dumps' default separators writes them
+    spaced = tmp_path / "spaced.jsonl"
+    spaced.write_bytes(b"".join(map(_spaced, text.splitlines())))
+    assert b'"steps": [{"t": ' in spaced.read_bytes()
+    want = [_line_by_line(corpus) for corpus in (path, spaced)]
+    assert [err for _, err in want] == [None, None]
 
-    def refuse(*args):
-        raise AssertionError("a chunk left the column reader")
+    def refuse(chunk, lineno):
+        raise AssertionError(f"the chunk after line {lineno} left the column reader")
 
-    monkeypatch.setattr(metadata, "_orjson_objects", refuse)
-    monkeypatch.setattr(metadata, "_parse_chunk", refuse)
-    got = metadata.ingest(path)
-    _assert_same_records(got, want)
-    assert all(r.steps.t.base is not None for r in got)
+    monkeypatch.setattr(metadata, "_reread_chunk", refuse)
+    for corpus, (expected, _) in zip((path, spaced), want):
+        got = metadata.ingest(corpus)
+        _assert_same_records(got, expected)
+        assert all(r.steps.t.base is not None for r in got)
 
 
 # values whose text the column reader must read as the stdlib does
@@ -534,6 +592,8 @@ _SPECIAL_GRIPPERS = (-0.0, 1e-05, 3e-07, 1.0)
 _UNIT_QUATS = np.array([(1.0, 0.0, 0.0, 0.0), (-0.0, 0.0, 1.0, -0.0), (0.5, -0.5, 0.5, 0.5),
                         (0.6, 0.0, 0.8, 0.0), (0.0, 1e-09, 0.0, -1.0)])
 _MUTATION_BYTES = b'0123456789eE+-., "[]{}:x\\'
+# text the stdlib writes with escapes (the lone surrogate orjson refuses), and bytes of the layout
+_TEXT = st.text('ab "\\\x7f\n\u00e9\u4e2d\U0001f600\ud800[]{}:,', max_size=6)
 
 
 @st.composite
@@ -553,7 +613,10 @@ def _column_records(draw):
             array[draw(st.integers(0, 2))] = draw(st.sampled_from(_SPECIAL_FLOATS))
     ann = draw(st.sampled_from([None, metadata.Annotations(),
                                 metadata.Annotations("mug", (0.2, -0.0, 1e-05), "red", None)]))
-    return metadata.DemoRecord(f"r{n}", "lab1", ("pick up the mug",), cam_pos,
+    if ann and ann.target_object:
+        ann = replace(ann, target_object=draw(_TEXT), object_color=draw(_TEXT),
+                      camera_bin=draw(_TEXT | st.none()))
+    return metadata.DemoRecord(draw(_TEXT.filter(bool)), draw(_TEXT), (draw(_TEXT),), cam_pos,
                                _UNIT_QUATS[rng.integers(0, len(_UNIT_QUATS))],
                                metadata.Steps(t, ee_pos, _UNIT_QUATS[rng.integers(0, len(_UNIT_QUATS), n)],
                                               gripper), ann)
@@ -564,7 +627,9 @@ def _column_records(draw):
 def test_chunked_reader_matches_line_by_line_on_drawn_records(tmp_path_factory, records, data):
     path = tmp_path_factory.mktemp("read") / "corpus.jsonl"
     metadata.write_records(path, records)
-    lines = path.read_bytes().splitlines(keepends=True)
+    # each line as `write_records` writes it or with json.dumps' default separators
+    lines = [_spaced(line) if data.draw(st.booleans()) else line
+             for line in path.read_bytes().splitlines(keepends=True)]
     k = data.draw(st.integers(0, len(lines) - 1))
     line = lines[k]
     start, end = line.index(b'"steps":') + len(b'"steps":'), line.rindex(b"}]") + len(b"}]")
@@ -625,24 +690,24 @@ def _one_chunk(tmp_path, fault):
 def test_a_chunk_the_batch_check_refused_goes_straight_to_parse_record(tmp_path, monkeypatch):
     path = _one_chunk(tmp_path, lambda row: _last_step(row, t=0))
     want, want_err = _line_by_line(path)
-    batch = _count_calls(monkeypatch, "_parse_chunk")
+    batch = _count_calls(monkeypatch, "_column_chunk")
     single = _count_calls(monkeypatch, "parse_record")
     got, got_err = _chunked(path)
-    assert len(batch) == 1  # on the orjson objects only
+    assert len(batch) == 1
     assert [line for _, line in single] == [1, 2, 3, 4]
     _assert_same_records(got, want)
     assert got_err.report() == want_err.report()
     assert (got_err.line, got_err.field) == (4, "steps.t")
 
 
-def test_a_chunk_orjson_refused_is_batch_checked_once_on_the_stdlib_objects(tmp_path, monkeypatch):
+def test_a_chunk_orjson_refused_goes_line_by_line_to_parse_record(tmp_path, monkeypatch):
     path = _one_chunk(tmp_path, lambda row: row.update(extra=float("nan")))
     want, _ = _line_by_line(path)
-    batch = _count_calls(monkeypatch, "_parse_chunk")
+    batch = _count_calls(monkeypatch, "_column_chunk")
     single = _count_calls(monkeypatch, "parse_record")
     got, got_err = _chunked(path)
-    assert len(batch) == 1 and batch[0][0][3]["extra"] != batch[0][0][3]["extra"]  # NaN
-    assert single == []
+    assert len(batch) == 1
+    assert [line for _, line in single] == [1, 2, 3, 4, 5]
     assert got_err is None and len(got) == 5
     _assert_same_records(got, want)
 
@@ -650,7 +715,7 @@ def test_a_chunk_orjson_refused_is_batch_checked_once_on_the_stdlib_objects(tmp_
 def test_true_and_false_outside_numeric_fields_keep_the_batch_path(tmp_path, monkeypatch):
     def fault(row):
         row.update(success=True, instructions=["put the false teeth in the cup"])
-        row["steps"][0].update(contact=False)
+        row["camera_extrinsics"].update(calibrated=False)
 
     path = _one_chunk(tmp_path, fault)
     want, _ = _line_by_line(path)
