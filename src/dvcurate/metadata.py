@@ -417,12 +417,10 @@ def _column_chunk(chunk: list[bytes]) -> list[DemoRecord] | None:
     for raw in chunk:
         if raw.isspace():
             continue
-        start = raw.find(b'"steps":[') + len(b'"steps":')
-        if start < len(b'"steps":'):  # whitespace around the colon, as in `"steps": [`
-            key = raw.find(b'"steps"') + len(b'"steps"')
-            start = raw.find(b"[", key)
-            if key < len(b'"steps"') or start < 0 or raw[key:start].strip() != b":":
-                return None
+        key = raw.find(b'"steps"') + len(b'"steps"')
+        start = raw.find(b"[", key)
+        if key < len(b'"steps"') or start < 0 or raw[key:start].strip() != b":":
+            return None
         end = raw.rfind(b"}]") + len(b"}]")
         if end <= start:
             return None
