@@ -17,6 +17,7 @@ from __future__ import annotations
 import functools
 import itertools
 import math
+import os
 import struct
 from dataclasses import dataclass
 
@@ -40,6 +41,12 @@ NOISE_PERSISTENCE = 0.5
 NOISE_BASE_CELLS = 4
 
 RASTER_MAGIC = b"DVTX"
+
+# Peak bytes that `synthesize` holds per bridge step (250-290 by tracemalloc
+# over 200k bridge steps, the slerp rows being built as Python lists first),
+# rounded up, and the physical memory that no bridge count may need more of.
+_BRIDGE_STEP_BYTES = 300
+_MEMORY_BYTES = os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
 
 
 # ---------------------------------------------------------------------------
@@ -361,7 +368,9 @@ def synthesize(segments, new_anchors, bridge_step: float,
     old_anchor_i⁻¹.  Junctions wider than `bridge_step` are filled with
     linearly interpolated positions and spherically interpolated orientations
     at spacing ≤ bridge_step (the gripper holds its last value).  Output
-    timestamps are renumbered from 0.
+    timestamps are renumbered from 0.  Bridge steps that would need more
+    than the machine's physical memory are refused with DegenerateAnchor
+    before any is allocated.
     """
     segments = list(segments)
     new_anchors = list(new_anchors)
@@ -393,19 +402,28 @@ def synthesize(segments, new_anchors, bridge_step: float,
     quat = quat_mul(t_quat, np.concatenate([seg.steps.ee_quat for seg in segments]))
     grip = np.concatenate([seg.steps.gripper for seg in segments])
 
-    out_pos, out_quat, out_grip = [], [], []
-    start = 0
+    # every junction's count of sub-steps, so that no bridge is allocated
+    # unless all of them fit in memory
+    junctions, bridged = [], 0
     for b in itertools.accumulate(lengths[:-1]):
-        a = b - 1
         with np.errstate(over="ignore"):  # a distance past the float range is refused below
-            dist = float(np.linalg.norm(pos[b] - pos[a]))
+            dist = float(np.linalg.norm(pos[b] - pos[b - 1]))
         try:
             n_sub = max(int(math.ceil(dist / bridge_step)), 1)
-            fracs = np.arange(1, n_sub) / n_sub
-        except (OverflowError, ValueError, MemoryError):  # no finite count, or too many to allocate
+        except (OverflowError, ValueError):  # no finite count
+            n_sub = math.inf
+        bridged += n_sub - 1
+        if bridged * _BRIDGE_STEP_BYTES > _MEMORY_BYTES:
             raise DegenerateAnchor(f"cannot bridge a junction of distance {dist} at bridge step "
-                                   f"{bridge_step}") from None
+                                   f"{bridge_step}: more bridge steps than memory holds")
+        junctions.append((b, n_sub))
+
+    out_pos, out_quat, out_grip = [], [], []
+    start = 0
+    for b, n_sub in junctions:
+        a = b - 1
         if n_sub > 1:
+            fracs = np.arange(1, n_sub) / n_sub
             out_pos += [pos[start:b], pos[a] + fracs[:, None] * (pos[b] - pos[a])]
             out_quat += [quat[start:b], quat_slerp(quat[a], quat[b], fracs)]
             out_grip += [grip[start:b], np.full(n_sub - 1, grip[a])]

@@ -33,20 +33,17 @@ wins: the records before it are yielded, then its error is raised with the
 same class, line, field and message as a line-by-line read would give.
 
 `write_records` writes each record as the stdlib's compact `json.dumps` of
-`record_to_dict` would, byte for byte.  `orjson` encodes a record about 4x
-faster, but writes other bytes for some values: non-ASCII text as raw UTF-8
-(the stdlib escapes it), DEL (U+007F) unescaped, and floats below 1e-4 or from
-1e16 up in its own notation (`0.00001` for `1e-05`, `1e16` for `1e+16`, null
-for NaN and infinities); it raises on lone surrogates and numpy scalars.  So
-a record goes to `orjson` only when every string is printable ASCII and the
-annotation position holds only floats; any other record is encoded whole by
-the stdlib, which also raises where it always did.  Where such a record holds
-a float that is neither 0 nor of magnitude in [1e-4, 1e16), the range where
-`orjson` writes what `repr` does, the float goes in as a placeholder string
-that is then replaced by the stdlib's text of it.  So a record's encoding
-cost does not depend on its floats: about 10 % of generated demos carry a
-step coordinate below 1e-4, and encoding each of them whole by the stdlib
-made a write's time vary by up to 60 % from one corpus to the next.
+`record_to_dict` would, byte for byte, but encodes it with `orjson`, about 4x
+faster.  `orjson` writes other bytes for some values: non-ASCII text as raw
+UTF-8 (the stdlib escapes it), DEL (U+007F) unescaped, and floats below 1e-4
+or from 1e16 up in its own notation (`0.00001` for `1e-05`, `1e16` for
+`1e+16`, null for NaN and infinities); it raises on lone surrogates and numpy
+scalars.  Each such value (`_odd_sites`) goes in as a placeholder string that
+is then replaced by the stdlib's text of that value alone, so the stdlib also
+raises where it always did.  A record's encoding cost thus hardly depends on
+its values: about 10 % of generated demos carry a step coordinate below 1e-4,
+and one "café" in an instruction would otherwise send a 150-step record to
+the stdlib at over 4x the cost.
 An existing output file is rewritten in place and then cut to the bytes
 written (`overwrite`), not truncated first: on an ext4 mounted with
 `discard`, freeing a written-back file's blocks took 30-90 ms per 1-2 MB,
@@ -474,27 +471,17 @@ def _decode(raw: bytes, line: int):
 # may nest deeper than this takes the stdlib re-read instead, which raises
 # RecursionError near 1000 levels.  A record nests 4 deep.
 _MAX_FAST_DEPTH = 512
-_NOT_STRUCTURE = bytes(sorted(set(range(256)) - set(b'[]{}"\\')))
-_NESTING_STEP = bytes(1 if c in b"[{" else 255 if c in b"]}" else 0 for c in range(256))
-_ESCAPE = re.compile(rb"\\.", re.DOTALL)
-
-
-def _depth(raw: bytes) -> int:
-    """Nesting depth of a JSON text; for invalid text, at least that of its valid prefix."""
-    s = raw.translate(None, _NOT_STRUCTURE)  # brackets, quotes and backslashes
-    if s.count(b'"') != 2 * s.count(b'""'):  # a string holds a bracket or an escape
-        s = b"".join(_ESCAPE.sub(b"", raw).translate(None, _NOT_STRUCTURE).split(b'"')[::2])
-    steps = np.frombuffer(s.translate(_NESTING_STEP), dtype=np.int8)
-    return int(steps.cumsum(dtype=np.int64).max(initial=0))
 
 
 def _too_deep(raw: bytes) -> bool:
-    """Whether a line may nest deeper than _MAX_FAST_DEPTH; exact for valid JSON."""
+    """Whether a line may nest deeper than _MAX_FAST_DEPTH: whether it holds
+    more `[` and `{` bytes than that, in strings or not.  Only a header with
+    that many reaches the count, as the steps arrays are cut out first; such
+    a line is read by the stdlib."""
     if len(raw) <= 2 * _MAX_FAST_DEPTH:  # valid JSON closes every level it opens
         return False
-    # `[` and `{` are the only bytes b with b | 0x20 == `{`; each opens at most one level
-    opens = np.count_nonzero((np.frombuffer(raw, dtype=np.uint8) | 0x20) == ord("{"))
-    return opens > _MAX_FAST_DEPTH and _depth(raw) > _MAX_FAST_DEPTH
+    # `[` and `{` are the only bytes b with b | 0x20 == `{`
+    return np.count_nonzero((np.frombuffer(raw, dtype=np.uint8) | 0x20) == ord("{")) > _MAX_FAST_DEPTH
 
 
 def _reread_chunk(chunk: list[bytes], lineno: int):
@@ -573,26 +560,6 @@ def _printable_ascii(text) -> bool:
     return type(text) is str and text.isascii() and text.isprintable()
 
 
-def _orjson_safe(obj: dict) -> bool:
-    """Whether orjson writes every string of `obj` as the stdlib does and raises on none of its values.
-
-    True when every string is printable ASCII (orjson writes other text as
-    raw UTF-8 where the stdlib escapes it, and raises on lone surrogates) and
-    every position coordinate is a `float`: strings must be `str` and the
-    position `float`s, since a hand-built record may hold numpy scalars (on
-    which orjson raises) or text there; every other value of `obj` comes
-    from `.tolist()`.
-    """
-    texts = [obj["id"], obj["lab"], *obj["instructions"]]
-    ann = obj["annotations"]
-    if ann is not None:
-        texts += [label for name in _LABELS if (label := ann[name]) is not None]
-        pos = ann["object_position"]
-        if pos is not None and not all(type(v) is float for v in pos):
-            return False
-    return all(map(_printable_ascii, texts))
-
-
 def _off_repr(values) -> np.ndarray:
     """Mask of the floats that orjson writes otherwise than `repr`: neither 0
     nor of magnitude in [_REPR_MIN, _REPR_MAX)."""
@@ -600,28 +567,49 @@ def _off_repr(values) -> np.ndarray:
     return ~(((mag >= _REPR_MIN) & (mag < _REPR_MAX)) | (mag == 0.0))
 
 
-def _off_repr_sites(record: DemoRecord, obj: dict) -> list:
-    """The (list or dict, key) of each float of `obj` that orjson writes otherwise than `repr`."""
-    steps, pos = record.steps, obj["annotations"] and obj["annotations"]["object_position"]
+def _odd_sites(record: DemoRecord, obj: dict) -> list:
+    """The (list or dict, key) of each value of `obj`, the `record_to_dict`
+    of `record`, that orjson writes otherwise than the stdlib or raises on.
+
+    Those are every string that is not printable ASCII (orjson writes other
+    text as raw UTF-8 where the stdlib escapes it, and raises on lone
+    surrogates), every other value but None where a string goes, every value
+    but a `float` in the annotation position (a hand-built record may hold
+    numpy scalars or text there), and every float that `_off_repr` marks.
+    Every other value of `obj` comes from `.tolist()`.  The values the
+    stdlib may raise on come in `record_to_dict` order: id, lab,
+    instructions, then the annotations in their order.
+    """
+    ins, ann = obj["instructions"], obj["annotations"]
+    texts, pos, floats, sites = [obj["id"], obj["lab"], *ins], (), (), []
+    if ann is not None:
+        pos = ann["object_position"] or ()
+        floats = [v for v in pos if type(v) is float]
+        texts += [v for v in ann.values() if v is not None and v is not pos]
+    if len(floats) < len(pos) or not all(map(_printable_ascii, texts)):
+        sites = [(obj, key) for key in ("id", "lab") if not _printable_ascii(obj[key])]
+        sites += [(ins, i) for i, text in enumerate(ins) if not _printable_ascii(text)]
+        for name, value in ann.items() if ann else ():
+            if value is pos:
+                sites += [(pos, i) for i, v in enumerate(pos)
+                          if type(v) is not float and not _printable_ascii(v)]
+            elif not (value is None or _printable_ascii(value)):
+                sites.append((ann, name))
+    steps = record.steps
     arrays = [record.camera_pos, record.camera_quat, steps.ee_pos, steps.ee_quat, steps.gripper,
-              *([pos] if pos else [])]
-    if not _off_repr(np.concatenate([np.asarray(a, dtype=float).ravel() for a in arrays])).any():
-        return []
+              *([floats] if floats else [])]
+    if not _off_repr(np.concatenate(arrays, axis=None)).any():
+        return sites
     cam, rows, n = obj["camera_extrinsics"], obj["steps"], len(obj["steps"])
-    sites = [(cam["pos"], i) for (i,) in np.argwhere(_off_repr(record.camera_pos)).tolist()]
+    sites += [(cam["pos"], i) for (i,) in np.argwhere(_off_repr(record.camera_pos)).tolist()]
     sites += [(cam["quat"], i) for (i,) in np.argwhere(_off_repr(record.camera_quat)).tolist()]
     for name in ("ee_pos", "ee_quat"):  # `record_to_dict` zips the steps to `n` rows
         off = np.argwhere(_off_repr(getattr(steps, name))[:n]).tolist()
         sites += [(rows[i][name], j) for i, j in off]
     sites += [(rows[i], "gripper") for (i,) in np.argwhere(_off_repr(steps.gripper)[:n]).tolist()]
-    if pos:
-        sites += [(pos, i) for (i,) in np.argwhere(_off_repr(pos)).tolist()]
+    at = [i for i, v in enumerate(pos) if type(v) is float]
+    sites += [(pos, at[j]) for (j,) in np.argwhere(_off_repr(floats)).tolist()]
     return sites
-
-
-def _orjson_exact(record: DemoRecord, obj: dict) -> bool:
-    """Whether `orjson.dumps(obj)` gives the bytes of the stdlib's compact `json.dumps`."""
-    return _orjson_safe(obj) and not _off_repr_sites(record, obj)
 
 
 # a placeholder `"\0k"` as orjson writes it: no printable ASCII string gives these bytes
@@ -630,13 +618,11 @@ _PIN = re.compile(rb'"\\u0000(\d+)"')
 
 def _encode(record: DemoRecord) -> bytes:
     obj = record_to_dict(record)
-    if not _orjson_safe(obj):
-        return json.dumps(obj, separators=(",", ":")).encode() + b"\n"
-    # each float orjson would write otherwise goes in as the placeholder
+    # each value orjson would write otherwise goes in as the placeholder
     # string "\0k", which is then replaced by the stdlib's text of it
     texts = []
-    for values, key in _off_repr_sites(record, obj):
-        texts.append(json.dumps(values[key]).encode())
+    for values, key in _odd_sites(record, obj):
+        texts.append(json.dumps(values[key], separators=(",", ":")).encode())
         values[key] = f"\0{len(texts) - 1}"
     line = orjson.dumps(obj, option=orjson.OPT_APPEND_NEWLINE)
     return _PIN.sub(lambda m: texts[int(m[1])], line) if texts else line
@@ -646,12 +632,12 @@ def write_records(path, records) -> int:
     """Write records as line-delimited JSON; returns the record count.
 
     Each line holds the bytes of the stdlib's compact `json.dumps` of
-    `record_to_dict`.  A record whose strings orjson writes as the stdlib
-    does (`_orjson_safe`: printable ASCII, a position of floats) is encoded
-    by orjson, about 4x faster, with the stdlib's text put in for each float
-    orjson writes otherwise (`_off_repr_sites`: neither 0 nor of magnitude
-    in [1e-4, 1e16)); any other record is encoded whole by the stdlib, which
-    raises for a value it cannot write.
+    `record_to_dict`.  Every record is encoded by orjson, about 4x faster,
+    with the stdlib's text of each value put in where orjson would write
+    other bytes or raise (`_odd_sites`: text that is not printable ASCII, a
+    position value that is not a float, a float neither 0 nor of magnitude
+    in [1e-4, 1e16)).  The stdlib raises for a value it cannot write, the
+    first in the record first.
     The lines written before such an error stay in the file, and nothing else.
 
     An existing file is rewritten in place and cut to the new length

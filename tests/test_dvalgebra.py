@@ -457,6 +457,32 @@ def test_profile_respects_existing_annotations():
 def test_profile_empty_corpus_rejected():
     with pytest.raises(EmptyDataset):
         dva.profile_dataset([])
+    with pytest.raises(EmptyDataset):
+        dva.profile_dataset(iter([]))
+
+
+def test_profile_streams_a_one_shot_generator(monkeypatch):
+    monkeypatch.setattr(dva, "_PROFILE_BATCH", 2)
+    records = _profile_corpus()
+    events = []
+
+    def stream():
+        for rec in records:
+            events.append(f"read {rec.id}")
+            yield rec
+
+    release_position = metadata.extract_release_position
+
+    def profiled(steps):
+        events.append("profiled")
+        return release_position(steps)
+
+    with mock.patch.object(metadata, "extract_release_position", profiled):
+        prof = dva.profile_dataset(stream())
+    assert events == ["read a", "read b", "profiled", "profiled", "read c", "profiled"]
+    whole = dva.profile_dataset(records)
+    assert (prof.dvs, prof.campose_windows, prof.demo_count) == \
+        (whole.dvs, whole.campose_windows, whole.demo_count)
 
 
 def test_merge_profiles_matches_concatenation():

@@ -345,6 +345,20 @@ def test_synthesize_refuses_anchors_it_cannot_stitch(far, step, match):
         genkit.synthesize(segments, anchors, bridge_step=step)
 
 
+def test_synthesize_refuses_bridges_past_memory_before_allocating_any(monkeypatch):
+    # three junctions of 0.5 at a step of 1/512: 255 bridge steps each, 765 in all
+    segments = [_point_segment((0.0, 0.0, 0.0)) for _ in range(4)]
+    anchors = [((0.5 * i, 0.0, 0.0), (1.0, 0.0, 0.0, 0.0)) for i in range(4)]
+    monkeypatch.setattr(genkit, "_MEMORY_BYTES", 765 * genkit._BRIDGE_STEP_BYTES)
+    assert len(genkit.synthesize(segments, anchors, bridge_step=2**-9).steps) == 4 + 765
+    monkeypatch.setattr(genkit, "_MEMORY_BYTES", 764 * genkit._BRIDGE_STEP_BYTES)
+    slerp = mock.Mock(side_effect=AssertionError("a bridge was allocated"))
+    monkeypatch.setattr(genkit, "quat_slerp", slerp)
+    with pytest.raises(DegenerateAnchor, match=r"distance 0\.5 at bridge step 0\.001953125: more bridge"):
+        genkit.synthesize(segments, anchors, bridge_step=2**-9)
+    assert not slerp.called
+
+
 def test_synthesize_record_metadata():
     demo = make_record(rid="src", lab="lab3", instructions=("pick up the mug",))
     segments = genkit.decompose(demo, PICK_PLACE)

@@ -356,6 +356,8 @@ _FAULTS = {
     "nested 600 deep in an extra field": lambda line: _nest_extra(line, 600),
     "nested 1200 deep in an extra field": lambda line: _nest_extra(line, 1200),
     "unclosed 2000 deep in an extra field": lambda line: _nest_extra(line, 2000, closed=False),
+    # valid and 1 deep, but past _MAX_FAST_DEPTH by its count of brackets
+    "600 [ in a header string": lambda row: row.update(lab="[" * 600 + "]" * 600),
     # steps arrays near the compact layout that the column reader must not misread
     "key e_epos": lambda line: _in_last_step(line, rb'"ee_pos"', rb'"e_epos"'),
     "key EE_pos": lambda line: _in_last_step(line, rb'"ee_pos"', rb'"EE_pos"'),
@@ -537,7 +539,8 @@ def test_a_long_escaped_string_is_scanned_once(tmp_path, tail):
 
 def test_valid_chunks_never_reach_the_stdlib_decoder(tmp_path, monkeypatch):
     path = tmp_path / "corpus.jsonl"
-    rows = _rows() + [demo_row(rid="long", n=400)]  # more than _MAX_FAST_DEPTH brackets
+    # 400 steps hold more brackets than _MAX_FAST_DEPTH, but the steps array is cut out first
+    rows = _rows() + [demo_row(rid="long", n=400)]
     rows[7]["extra"] = [[["no rule reads this"]]]
     rows[5]["lab"] = "caf\u00e9 [b] \\ \"q\""  # escapes and brackets inside a string
     write_jsonl(path, rows)
@@ -724,28 +727,6 @@ def test_true_and_false_outside_numeric_fields_keep_the_batch_path(tmp_path, mon
     assert single == [] and got_err is None
     _assert_same_records(got, want)
     assert all(r.steps.t.base is not None for r in got)  # built by the batch path
-
-
-def _json_depth(value) -> int:
-    if isinstance(value, dict):
-        value = list(value.values())
-    return 1 + max(map(_json_depth, value), default=0) if isinstance(value, list) else 0
-
-
-_JSON_VALUES = st.recursive(
-    st.none() | st.booleans() | st.floats(allow_nan=False) | st.integers()
-    | st.text(alphabet='[]{}"\\:,ab\n\u00e9\ud800'),
-    lambda inner: st.lists(inner, max_size=4)
-    | st.dictionaries(st.text(alphabet='[]{}"\\ab', max_size=3), inner, max_size=4),
-    max_leaves=40,
-)
-
-
-@given(_JSON_VALUES, st.booleans())
-@settings(max_examples=500)
-def test_depth_matches_the_nesting_of_the_value(value, ascii_only):
-    raw = json.dumps(value, ensure_ascii=ascii_only).encode("utf-8", "surrogatepass")
-    assert metadata._depth(raw) == _json_depth(value)
 
 
 @given(st.floats(allow_nan=False, allow_infinity=False))
@@ -1325,7 +1306,7 @@ def _one_odd_value():
 
 def test_write_records_matches_the_stdlib_with_one_odd_value(tmp_path):
     plain = _plain_record()
-    assert metadata._orjson_exact(plain, metadata.record_to_dict(plain))
+    assert metadata._odd_sites(plain, metadata.record_to_dict(plain)) == []
     records = [plain, *_one_odd_value()]
     path = tmp_path / "out.jsonl"
     metadata.write_records(path, records)
@@ -1371,6 +1352,45 @@ def test_write_records_raises_the_stdlib_error_and_keeps_the_lines_before_it(tmp
         metadata.write_records(path, [*good, bad, make_record(rid="after", n=5)])
     assert type(got.value) is type(want.value) and str(got.value) == str(want.value)
     assert "float32" in str(got.value)
+    assert path.read_bytes() == _stdlib_lines(good)
+
+
+def test_every_record_is_encoded_by_orjson(tmp_path, monkeypatch):
+    records = [*_one_odd_value(), _plain_record(
+        id="café", lab="l\ud800b", instructions=("a\x7fb", " ", "plain"),
+        object_position=[np.float64(1e-05), "0.5", True], object_color="rød",
+        gripper=[1e-05, 0.0, 1e16])]
+    want = _stdlib_lines(records)
+    dumped, dumps = [], json.dumps
+    monkeypatch.setattr(json, "dumps", lambda obj, **kw: dumped.append(obj) or dumps(obj, **kw))
+    encoded, orjson_dumps = [], orjson.dumps
+    monkeypatch.setattr(orjson, "dumps", lambda obj, **kw: encoded.append(obj) or orjson_dumps(obj, **kw))
+    path = tmp_path / "out.jsonl"
+    metadata.write_records(path, records)
+    assert path.read_bytes() == want
+    assert len(encoded) == len(records)
+    # the stdlib writes single values only, at least the one odd value of each record
+    assert len(dumped) >= len(records) + 8
+    assert not any(isinstance(value, (dict, list, tuple)) for value in dumped)
+
+
+@pytest.mark.parametrize("changes", [
+    dict(id=b"r", object_position=[np.float32(0.25), 0.0, 0.0]),
+    dict(lab=1j, instructions=("ok", b"mug")),
+    dict(instructions=("ok", {1}), target_object=b"mug"),
+    dict(object_position=[0.1, np.float16(0.5), np.float32(0.25)]),
+    dict(target_object={1}, object_color=b"red", camera_bin=np.float32(1.0)),
+], ids=["id, position", "lab, instruction", "instruction, label", "two coordinates", "three labels"])
+def test_write_records_raises_the_stdlibs_first_error(tmp_path, changes):
+    good = [_plain_record(id=f"ok{i}") for i in range(2)]
+    bad = _plain_record(**changes)
+    with pytest.raises(TypeError) as want:
+        json.dumps(element_record_to_dict(bad), separators=(",", ":"))
+    path = tmp_path / "out.jsonl"
+    path.write_bytes(b"old\n" * 1000)
+    with pytest.raises(TypeError) as got:
+        metadata.write_records(path, [*good, bad, _plain_record(id="after")])
+    assert str(got.value) == str(want.value)
     assert path.read_bytes() == _stdlib_lines(good)
 
 
